@@ -8,6 +8,7 @@ verdict, 1 negative verdict, 2 usage or parse error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import JetvarError, NumericSingularity, ParseError
@@ -22,7 +23,9 @@ from .variational import euler_lagrange, extract_gauge, is_null, jacobi
 _FORMATS = {"canonical": "canonical-text", "latex": "latex", "json": "json-ast"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=sorted(_FORMATS),
                         default="canonical",

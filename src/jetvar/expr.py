@@ -26,22 +26,18 @@ from .errors import (
 from .poly import P_ONE, P_ZERO, Polynomial, exact_div, poly_gcd
 
 
-def _joint_scale(num: Polynomial, den: Polynomial):
-    """Rescale so all coefficients are integers with joint content 1."""
-    num_g = 0
-    den_lcm = 1
-    for _, c in num.terms:
-        num_g = _int_gcd(num_g, c.numerator)
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    for _, c in den.terms:
-        num_g = _int_gcd(num_g, c.numerator)
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    if num_g == 0:
-        return num, den
-    scale = Fraction(den_lcm, num_g)
+def _content_and_sign(num: Polynomial, den: Polynomial):
+    """Scale num/den to integer coefficients of joint content 1 with the
+    leading coefficient of den positive (den nonzero)."""
+    cn = num.coeff_content()
+    cd = den.coeff_content()
+    scale = Fraction(
+        cn.denominator * cd.denominator // _int_gcd(cn.denominator, cd.denominator),
+        _int_gcd(cn.numerator, cd.numerator))
+    if den.leading()[1] < 0:
+        scale = -scale
     if scale != 1:
-        num = num.scale(scale)
-        den = den.scale(scale)
+        num, den = num.scale(scale), den.scale(scale)
     return num, den
 
 
@@ -204,10 +200,7 @@ class Expr:
         d2 = o.den if g1.is_const else exact_div(o.den, g1)
         n2 = o.num if g2.is_const else exact_div(o.num, g2)
         d1 = self.den if g2.is_const else exact_div(self.den, g2)
-        num, den = _joint_scale(n1.mul(n2), d1.mul(d2))
-        if den.leading()[1] < 0:
-            num, den = num.neg(), den.neg()
-        return Expr(num, den, _reduced=True)
+        return Expr(*_content_and_sign(n1.mul(n2), d1.mul(d2)), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -238,10 +231,8 @@ class Expr:
         else:
             base = self
         # num and den are coprime, so powers stay coprime
-        num, den = _joint_scale(base.num.pow(k), base.den.pow(k))
-        if den.leading()[1] < 0:
-            num, den = num.neg(), den.neg()
-        return Expr(num, den, _reduced=True)
+        return Expr(*_content_and_sign(base.num.pow(k), base.den.pow(k)),
+                    _reduced=True)
 
 
 def _reduce(num: Polynomial, den: Polynomial):
@@ -249,19 +240,12 @@ def _reduce(num: Polynomial, den: Polynomial):
         raise DivisionByZero("expression denominator is zero")
     if num.is_zero:
         return P_ZERO, P_ONE
-    if den.is_const:
-        c = den.const_value()
-        num = num.scale(1 / c)
-        den = P_ONE
-    else:
+    if not den.is_const:
         g = poly_gcd(num, den)
         if not g.is_const:
             num = exact_div(num, g)
             den = exact_div(den, g)
-    num, den = _joint_scale(num, den)
-    if den.leading()[1] < 0:
-        num, den = num.neg(), den.neg()
-    return num, den
+    return _content_and_sign(num, den)
 
 
 E_ZERO = Expr.const(0)
@@ -312,18 +296,61 @@ def log(arg: Expr) -> Expr:
 # -- differentiation ----------------------------------------------------------
 
 
-def _poly_partial(p: Polynomial, atom: Atom) -> Expr:
-    """Partial derivative of a polynomial, with the chain rule through logs."""
-    direct = Expr(p.partial(atom), P_ONE, _reduced=True)
-    extra = E_ZERO
-    for a in p.atoms():
-        if isinstance(a, LogAtom) and not isinstance(atom, LogAtom):
-            inner = partial(a.arg, atom)
-            if inner.is_zero:
-                continue
-            outer = Expr(p.partial(a), P_ONE, _reduced=True)
-            extra = extra + outer * (inner / a.arg)
-    return direct + extra
+def _lcm(p: Polynomial, q: Polynomial) -> Polynomial:
+    g = poly_gcd(p, q)
+    return p.mul(q) if g.is_const else p.mul(exact_div(q, g))
+
+
+def _derive(e: Expr, field: dict) -> Expr:
+    """X(e) for the vector field X = sum_a field[a] * d/da.
+
+    field maps time, jet and param atoms to Expr coefficients; atoms it
+    omits are constants of X.  A log atom takes its coefficient from the
+    chain rule X(log A) = X(A)/A, which is applied here and nowhere else.
+    """
+    coeffs = {}
+    for a in e.atoms():
+        if isinstance(a, LogAtom):
+            c = _derive(a.arg, field) / a.arg
+        else:
+            c = field.get(a)
+        if c is not None and not c.is_zero:
+            coeffs[a] = c
+    if not coeffs:
+        return E_ZERO
+    # X = Y/m, where Y has the polynomial coefficients c_a * m
+    m = P_ONE
+    for c in coeffs.values():
+        if c.den != P_ONE:
+            m = _lcm(m, c.den)
+    poly_field = {a: c.num if m == P_ONE else c.num.mul(exact_div(m, c.den))
+                  for a, c in coeffs.items()}
+    n, d = e.num, e.den
+    yn = n.derive(poly_field)
+    yd = d.derive(poly_field)
+    # With g = gcd(d, Y d) and h = d/g,
+    #   X(n/d) = (Y n * d - n * Y d) / (d^2 m) = (Y n * h - n * (Y d/g)) / (d h m).
+    # The numerator is prime to h: gcd(n, d) = 1 and gcd(h, Y d/g) = 1.  So
+    # of the denominator g h^2 m, only m and the part of g prime to h can
+    # share factors with it.
+    g = poly_gcd(d, yd)
+    h = d if g.is_const else exact_div(d, g)
+    num = yn.mul(h).sub(n.mul(exact_div(yd, g)))
+    if num.is_zero:
+        return E_ZERO
+    free = g
+    while not free.is_const:
+        shared = poly_gcd(free, h)
+        if shared.is_const:
+            break
+        free = exact_div(free, shared)
+    den = g.mul(m)
+    free = free.mul(m)
+    if not free.is_const:
+        common = poly_gcd(num, free)
+        if not common.is_const:
+            num, den = exact_div(num, common), exact_div(den, common)
+    return Expr(*_content_and_sign(num, den.mul(h).mul(h)), _reduced=True)
 
 
 def partial(e: Expr, atom: Atom) -> Expr:
@@ -332,14 +359,7 @@ def partial(e: Expr, atom: Atom) -> Expr:
         raise UnsupportedAtom("cannot differentiate with respect to a log atom")
     if not isinstance(atom, (TimeAtom, Jet, Param)):
         raise UnsupportedAtom(f"cannot differentiate with respect to {atom!r}")
-    dn = _poly_partial(e.num, atom)
-    if e.den.is_const:
-        c = e.den.const_value()
-        return dn if c == 1 else dn / c
-    dd = _poly_partial(e.den, atom)
-    den_e = Expr(e.den, P_ONE, _reduced=True)
-    num_e = Expr(e.num, P_ONE, _reduced=True)
-    return (dn * den_e - num_e * dd) / (den_e * den_e)
+    return _derive(e, {atom: E_ONE})
 
 
 # -- substitution -------------------------------------------------------------

@@ -8,19 +8,20 @@ pr v = sum_k D_t^k(phi) d/dq{k}.
 
 from __future__ import annotations
 
-from .atoms import TIME, Jet
-from .expr import E_ZERO, Expr, jet, partial
+from .atoms import Jet, TimeAtom
+from .expr import E_ONE, Expr, _derive, jet
+from .poly import Polynomial
 
 
-def _dt_once(e: Expr) -> Expr:
-    out = partial(e, TIME)
-    jets = sorted((a for a in e.all_atoms() if isinstance(a, Jet)),
-                  key=lambda a: a.order)
-    for a in jets:
-        d = partial(e, a)
-        if not d.is_zero:
-            out = out + jet(a.order + 1) * d
-    return out
+def _dt_field(atoms) -> dict:
+    """D_t = d/dt + sum_k q{k+1} d/dq{k} as coefficients on the given atoms."""
+    return {a: jet(a.order + 1) if isinstance(a, Jet) else E_ONE
+            for a in atoms if isinstance(a, (TimeAtom, Jet))}
+
+
+def _dt_poly(p: Polynomial) -> Polynomial:
+    """D_t of a log-free polynomial, as a polynomial."""
+    return p.derive({a: c.num for a, c in _dt_field(p.atoms()).items()})
 
 
 def total_derivative(e: Expr, k: int = 1) -> Expr:
@@ -28,7 +29,7 @@ def total_derivative(e: Expr, k: int = 1) -> Expr:
     if k < 0:
         raise ValueError("total derivative order must be nonnegative")
     for _ in range(k):
-        e = _dt_once(e)
+        e = _derive(e, _dt_field(e.all_atoms()))
     return e
 
 
@@ -44,14 +45,10 @@ def prolong(phi: Expr, e: Expr) -> Expr:
     infinite sum truncates exactly.
     """
     phi = Expr._coerce(phi)
-    orders = sorted(a.order for a in e.all_atoms() if isinstance(a, Jet))
-    out = E_ZERO
-    d = phi
+    field = {}
     at = 0
-    for k in orders:
-        d = total_derivative(d, k - at)
+    for k in sorted(a.order for a in e.all_atoms() if isinstance(a, Jet)):
+        phi = total_derivative(phi, k - at)
         at = k
-        term = partial(e, Jet(k))
-        if not term.is_zero:
-            out = out + d * term
-    return out
+        field[Jet(k)] = phi
+    return _derive(e, field)

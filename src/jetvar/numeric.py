@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atoms import Jet, LogAtom, Param, TimeAtom
+from .atoms import TIME, Jet, LogAtom
 from .errors import MissingAtom, NullODE, NumericSingularity
 from .expr import Expr
 from .poly import Polynomial
@@ -43,37 +43,56 @@ class DriftReport:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _eval_poly(p: Polynomial, point: dict) -> float:
-    total = 0.0
+def _compile_poly(p: Polynomial, slots: dict):
+    terms = []
     for mono, coeff in p.terms:
-        v = float(coeff)
-        for atom, ex in mono:
-            if isinstance(atom, LogAtom):
-                arg = _eval_expr_raw(atom.arg, point)
-                if arg <= 0.0:
+        factors = tuple(
+            (_compile(atom.arg, slots) if isinstance(atom, LogAtom)
+             else slots[atom], ex)
+            for atom, ex in mono)
+        terms.append((float(coeff), factors))
+    return tuple(terms)
+
+
+def _eval_terms(terms, y) -> float:
+    total = 0.0
+    for c, factors in terms:
+        v = c
+        for f, ex in factors:
+            if type(f) is int:
+                x = y[f]
+            else:
+                x = f(y)
+                if x <= 0.0:
                     raise NumericSingularity(
                         "log argument is not positive at the evaluation point")
-                base = math.log(arg)
-            else:
-                base = point[atom]
-            v *= base ** ex
+                x = math.log(x)
+            v *= x ** ex
         total += v
     return total
 
 
-def _eval_expr_raw(e: Expr, point: dict) -> float:
-    num = _eval_poly(e.num, point)
-    den = _eval_poly(e.den, point)
-    if den == 0.0:
-        raise NumericSingularity("denominator evaluated to zero")
-    return num / den
+def _compile(e: Expr, slots: dict):
+    """Evaluator f(y) of e that reads atom a from y[slots[a]]."""
+    num_terms = _compile_poly(e.num, slots)
+    den_terms = _compile_poly(e.den, slots)
+
+    def f(y) -> float:
+        den = _eval_terms(den_terms, y)
+        if den == 0.0:
+            raise NumericSingularity("denominator evaluated to zero")
+        return _eval_terms(num_terms, y) / den
+
+    return f
 
 
-def eval_expr(e: Expr, point: dict) -> float:
-    """IEEE double value of e at a point mapping atoms to floats."""
+def _evaluator(e: Expr, atoms):
+    """_compile over a slot per atom, in order; every non-log atom of e
+    must be among them."""
+    slots = {a: i for i, a in enumerate(atoms)}
     missing = sorted(
         (a for a in e.all_atoms()
-         if not isinstance(a, LogAtom) and a not in point),
+         if not isinstance(a, LogAtom) and a not in slots),
         key=lambda a: a.sort_key(),
     )
     if missing:
@@ -81,65 +100,17 @@ def eval_expr(e: Expr, point: dict) -> float:
 
         names = ", ".join(atom_label(a) for a in missing)
         raise MissingAtom(f"evaluation point lacks {names}")
-    return _eval_expr_raw(e, point)
+    return _compile(e, slots)
 
 
-# -- compiled evaluators for tight loops -------------------------------------
-
-_T_SLOT = -1
-
-
-def _compile_poly(p: Polynomial, order: int):
-    terms = []
-    for mono, coeff in p.terms:
-        factors = []
-        for atom, ex in mono:
-            if isinstance(atom, Jet):
-                if atom.order >= order:
-                    raise MissingAtom(
-                        f"state of size {order} does not cover jet q{atom.order}")
-                factors.append((atom.order, ex))
-            elif isinstance(atom, TimeAtom):
-                factors.append((_T_SLOT, ex))
-            elif isinstance(atom, LogAtom):
-                factors.append((_compile(atom.arg, order), ex))
-            elif isinstance(atom, Param):
-                raise MissingAtom(
-                    f"state does not cover parameter {atom.name}")
-        terms.append((float(coeff), tuple(factors)))
-    return tuple(terms)
+def _state_atoms(order: int) -> tuple:
+    """Atoms of the point (t, q0, ..., q{order-1}) of a trajectory."""
+    return (TIME,) + tuple(Jet(k) for k in range(order))
 
 
-def _eval_terms(terms, t: float, y) -> float:
-    total = 0.0
-    for c, factors in terms:
-        v = c
-        for f, ex in factors:
-            if type(f) is int:
-                x = t if f == _T_SLOT else y[f]
-            else:
-                x = f(t, y)
-                if x <= 0.0:
-                    raise NumericSingularity(
-                        "log argument is not positive along the trajectory")
-                x = math.log(x)
-            v *= x ** ex
-        total += v
-    return total
-
-
-def _compile(e: Expr, order: int):
-    """Evaluator f(t, y) for an expression over t and Jet(k), k < order."""
-    num_terms = _compile_poly(e.num, order)
-    den_terms = _compile_poly(e.den, order)
-
-    def f(t: float, y) -> float:
-        den = _eval_terms(den_terms, t, y)
-        if den == 0.0:
-            raise NumericSingularity("denominator evaluated to zero")
-        return _eval_terms(num_terms, t, y) / den
-
-    return f
+def eval_expr(e: Expr, point: dict) -> float:
+    """IEEE double value of e at a point mapping atoms to floats."""
+    return _evaluator(e, point)(tuple(point.values()))
 
 
 # -- dynamics -----------------------------------------------------------------
@@ -171,14 +142,15 @@ def integrate_rk4(sys: ODESystem, init, t0: float, t1: float, h: float):
     if len(init) != m:
         raise ValueError(f"initial state must have {m} components")
 
-    frhs = _compile(sys.rhs, m)
-    fguard = _compile(sys.singular_set, m)
+    frhs = _evaluator(sys.rhs, _state_atoms(m))
+    fguard = _evaluator(sys.singular_set, _state_atoms(m))
 
     def deriv(t, y):
-        if abs(fguard(t, y)) < SINGULAR_GUARD:
+        point = (t, *y)
+        if abs(fguard(point)) < SINGULAR_GUARD:
             raise NumericSingularity(
                 "top-derivative coefficient within the singular guard")
-        return y[1:] + (frhs(t, y),)
+        return y[1:] + (frhs(point),)
 
     y = tuple(float(v) for v in init)
     traj = [(t0, y)]
@@ -206,8 +178,8 @@ def monitor(traj, e: Expr) -> DriftReport:
     if not traj:
         raise ValueError("trajectory is empty")
     m = len(traj[0][1])
-    f = _compile(e, m)
-    samples = tuple((t, f(t, y)) for t, y in traj)
+    f = _evaluator(e, _state_atoms(m))
+    samples = tuple((t, f((t, *y))) for t, y in traj)
     v0 = samples[0][1]
     max_abs = max(abs(v - v0) for _, v in samples)
     if v0 != 0.0:

@@ -331,19 +331,23 @@ class Polynomial:
                 d[mono_mul(m, xe)] = c
         return Polynomial.from_dict(d)
 
-    def partial(self, atom: Atom) -> "Polynomial":
-        """Plain partial derivative; log atoms are treated as independent."""
+    def derive(self, field: dict) -> "Polynomial":
+        """sum over atoms a of field[a] * d(self)/da.
+
+        field maps atoms to Polynomial coefficients; atoms it omits,
+        log atoms included, are held fixed.
+        """
         d = {}
         for m, c in self.terms:
-            e = mono_degree_in(m, atom)
-            if not e:
-                continue
-            if e == 1:
-                nm = mono_without(m, atom)
-            else:
-                nm = tuple((a, ee - 1 if a == atom else ee) for a, ee in m)
-            v = d.get(nm)
-            d[nm] = (v + c * e) if v is not None else c * e
+            for i, (a, e) in enumerate(m):
+                y = field.get(a)
+                if y is None:
+                    continue
+                head, tail = m[:i], m[i + 1:]
+                rest = head + tail if e == 1 else head + ((a, e - 1),) + tail
+                for ym, yc in y.terms:
+                    nm = mono_mul(rest, ym)
+                    d[nm] = d.get(nm, 0) + c * e * yc
         return Polynomial.from_dict(d)
 
 

@@ -51,17 +51,19 @@ def _c_atom(a) -> str:
     raise TypeError(f"unknown atom {a!r}")
 
 
-def _c_poly(p: Polynomial) -> str:
+def _poly_text(p: Polynomial, atom_text, power: str, sep: str) -> str:
+    """Terms of p in order; power formats (atom, exponent) and sep joins
+    the factors of a term."""
     if p.is_zero:
         return "0"
     chunks = []
     for idx, (mono, coeff) in enumerate(p.terms):
         mag = abs(coeff)
-        factors = [f"{_c_atom(a)}^{ex}" if ex > 1 else _c_atom(a)
+        factors = [power.format(atom_text(a), ex) if ex > 1 else atom_text(a)
                    for a, ex in mono]
         if mag != 1 or not factors:
             factors.insert(0, str(mag))
-        body = "*".join(factors)
+        body = sep.join(factors)
         if idx == 0:
             chunks.append(body if coeff > 0 else "-" + body)
         else:
@@ -80,10 +82,10 @@ def _c_den_simple(p: Polynomial) -> bool:
 
 
 def _canonical(e: Expr) -> str:
-    num = _c_poly(e.num)
+    num = _poly_text(e.num, _c_atom, "{}^{}", "*")
     if e.den.is_const and e.den.const_value() == 1:
         return num
-    den = _c_poly(e.den)
+    den = _poly_text(e.den, _c_atom, "{}^{}", "*")
     if len(e.num.terms) > 1:
         num = f"({num})"
     if not _c_den_simple(e.den):
@@ -119,29 +121,12 @@ def _l_atom(a) -> str:
     raise TypeError(f"unknown atom {a!r}")
 
 
-def _l_poly(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
-    chunks = []
-    for idx, (mono, coeff) in enumerate(p.terms):
-        mag = abs(coeff)
-        factors = [f"{_l_atom(a)}^{{{ex}}}" if ex > 1 else _l_atom(a)
-                   for a, ex in mono]
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = " ".join(factors)
-        if idx == 0:
-            chunks.append(body if coeff > 0 else "-" + body)
-        else:
-            chunks.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(chunks)
-
-
 def _latex(e: Expr) -> str:
-    num = _l_poly(e.num)
+    num = _poly_text(e.num, _l_atom, "{}^{{{}}}", " ")
     if e.den.is_const and e.den.const_value() == 1:
         return num
-    return r"\frac{" + num + "}{" + _l_poly(e.den) + "}"
+    return (r"\frac{" + num + "}{"
+            + _poly_text(e.den, _l_atom, "{}^{{{}}}", " ") + "}")
 
 
 # -- json ast ------------------------------------------------------------------

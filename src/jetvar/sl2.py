@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atoms import TIME, Jet, LogAtom, Param
+from .atoms import Jet, LogAtom, Param
 from .errors import ReservedParameter, UnsupportedAtom
-from .expr import Expr, _joint_scale, const, jet, param, substitute_many
-from .jets import total_derivative
+from .expr import Expr, _content_and_sign, const, jet, param, substitute_many
+from .jets import _dt_poly, total_derivative
 from .poly import Polynomial, exact_div, mono_gcd, poly_gcd
 
 RESERVED_NAMES = ("a", "b", "c", "d")
@@ -73,16 +73,6 @@ def _single_param(e: Expr):
     return None
 
 
-def _poly_dt(p: Polynomial) -> Polynomial:
-    """Total time derivative of a log-free polynomial."""
-    out = p.partial(TIME)
-    for atom in p.atoms():
-        if isinstance(atom, Jet):
-            d = p.partial(atom)
-            out = out.add(d.mul(Polynomial.atom(Jet(atom.order + 1))))
-    return out
-
-
 def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
     """Image of e under Jet(k) -> D_t^k(w), assembled without generic gcds.
 
@@ -93,11 +83,11 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
     which sidesteps the multivariate gcd entirely on this shape.
     """
     U = w.den
-    DU = _poly_dt(U)
+    DU = _dt_poly(U)
     nums = [w.num]
     for k in range(n):
         nk = nums[-1]
-        nums.append(_poly_dt(nk).mul(U).sub(nk.mul(DU).scale(k + 1)))
+        nums.append(_dt_poly(nk).mul(U).sub(nk.mul(DU).scale(k + 1)))
 
     upows = [Polynomial.const(1)]
 
@@ -169,10 +159,7 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
         raise DivisionByZero("Mobius image denominator vanished")
     if num.is_zero:
         return const(0)
-    num, den = _joint_scale(num, den)
-    if den.leading()[1] < 0:
-        num, den = num.neg(), den.neg()
-    return Expr(num, den, _reduced=True)
+    return Expr(*_content_and_sign(num, den), _reduced=True)
 
 
 def _has_log(e: Expr) -> bool:

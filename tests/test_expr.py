@@ -98,6 +98,11 @@ def test_partial_quotient_rule():
     e = Q2 / Q1
     assert e.partial(Jet(1)) == -Q2 / Q1 ** 2
     assert e.partial(Jet(2)) == 1 / Q1
+    # denominator factors that d/dq leaves fixed, one cancelling
+    assert (Q0 ** 2 / (A1 * (T + 1))).partial(Jet(0)) == 2 * Q0 / (A1 * (T + 1))
+    assert (((T + 1) * Q0 + 1) / (T + 1) ** 2).partial(Jet(0)) == 1 / (T + 1)
+    assert (Q2 / ((Q0 + 1) * A1 * Q1)).partial(Param("a1")) == (
+        -Q2 / ((Q0 + 1) * A1 ** 2 * Q1))
 
 
 def test_partial_log_chain_rule():

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given
+from hypothesis import example, given
 
 from jetvar import TIME, Expr, Jet, Param, jet_order, prolong, total_derivative
 
@@ -13,6 +13,7 @@ Q1 = Expr.atom(Jet(1))
 Q2 = Expr.atom(Jet(2))
 Q3 = Expr.atom(Jet(3))
 T = Expr.atom(TIME)
+A1 = Expr.atom(Param("a1"))
 
 
 def test_dt_on_atoms():
@@ -54,6 +55,9 @@ def test_dt_raises_jet_order_by_one():
 
 
 @given(hypo_expr_strategy(), hypo_expr_strategy())
+# denominators with factors that D_t leaves fixed or maps to a multiple
+@example(Q2 / ((Q0 + 1) * A1 * Q1), ((T + 1) * Q0 + 1) / (T + 1) ** 2)
+@example(Expr.log(Q1 / (T + 1)) / (A1 * Q0), Q1 / (Q0 ** 2 + A1))
 def test_dt_is_a_derivation(x, y):
     assert total_derivative(x + y) == total_derivative(x) + total_derivative(y)
     assert (total_derivative(x * y)
@@ -61,6 +65,8 @@ def test_dt_is_a_derivation(x, y):
 
 
 @given(hypo_expr_strategy())
+@example((Q0 ** 2 + A1 * Q1) / ((Q0 + 1) * A1 * Q1))
+@example(Q0 * Expr.log((Q0 + T) / A1) / (Q0 + 1))
 def test_dt_composes(x):
     assert total_derivative(total_derivative(x)) == total_derivative(x, 2)
 
@@ -86,9 +92,12 @@ def test_prolongation_chain_through_log():
 def test_prolongation_commutes_with_dt():
     # for any characteristic, pr v and D_t commute on jet expressions
     rng = random.Random(23)
-    for _ in range(10):
-        e = rand_poly(rng, jets_max=2, max_terms=2)
-        phi = rand_poly(rng, jets_max=1, max_terms=2)
+    cases = [(rand_poly(rng, jets_max=2, max_terms=2),
+              rand_poly(rng, jets_max=1, max_terms=2)) for _ in range(10)]
+    # a rational characteristic acting through a log and a fixed factor
+    cases.append((Expr.log(Q1 / (Q0 + 1)) + Q2 / (A1 * Q1),
+                  Q0 ** 2 / (Q0 + T)))
+    for e, phi in cases:
         lhs = prolong(phi, total_derivative(e))
         rhs = total_derivative(prolong(phi, e))
         assert lhs == rhs

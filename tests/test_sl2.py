@@ -17,6 +17,7 @@ from jetvar import (
     sigma,
     sl2_finite_check,
     sl2_residues,
+    total_derivative,
 )
 
 from conftest import rand_poly
@@ -76,9 +77,14 @@ def test_mobius_substitute_concrete():
 
 def test_mobius_image_of_first_jet():
     # D_t((a*q+b)/(c*q+d)) with unit determinant is q1/(c*q+d)^2
-    w1 = mobius_substitute(Q1, A, B, C, (1 + B * C) / A)
-    expect = Q1 / (C * Q0 + (1 + B * C) / A) ** 2
+    d = (1 + B * C) / A
+    w1 = mobius_substitute(Q1, A, B, C, d)
+    expect = Q1 / (C * Q0 + d) ** 2
     assert w1 == expect
+    # higher jets: the Mobius recurrence against D_t^k of the map itself
+    w = (A * Q0 + B) / (C * Q0 + d)
+    for k in (4, 5, 6):
+        assert mobius_substitute(Expr.atom(Jet(k)), A, B, C, d) == total_derivative(w, k)
 
 
 def test_symbolic_determinant_elimination():
