@@ -1,7 +1,7 @@
 """Exact variational calculus for one-dimensional higher-derivative
 Lagrangians.
 
-Expressions are ratios of multivariate polynomials over the rationals in
+Expressions are ratios of multivariate integer polynomials in
 the time atom, the jet atoms q, q', q'', ..., free parameters, and
 logarithms of such ratios.  Every expression is kept in a canonical
 reduced form, so structural equality coincides with semantic equality.

@@ -14,6 +14,7 @@ and log atoms carry canonical Exprs as arguments so they compare by value.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -27,17 +28,13 @@ from .poly import P_ONE, P_ZERO, Polynomial, exact_div, poly_gcd
 
 
 def _content_and_sign(num: Polynomial, den: Polynomial):
-    """Scale num/den to integer coefficients of joint content 1 with the
-    leading coefficient of den positive (den nonzero)."""
-    cn = num.coeff_content()
-    cd = den.coeff_content()
-    scale = Fraction(
-        cn.denominator * cd.denominator // _int_gcd(cn.denominator, cd.denominator),
-        _int_gcd(cn.numerator, cd.numerator))
+    """Divide num/den by the gcd of all their coefficients, with the sign
+    that makes the leading coefficient of den positive (den nonzero)."""
+    g = _int_gcd(num.coeff_content(), den.coeff_content())
     if den.leading()[1] < 0:
-        scale = -scale
-    if scale != 1:
-        num, den = num.scale(scale), den.scale(scale)
+        g = -g
+    if g != 1:
+        num, den = num.div_int(g), den.div_int(g)
     return num, den
 
 
@@ -51,7 +48,6 @@ class Expr:
             num, den = _reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((num, den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr values are immutable")
@@ -60,6 +56,8 @@ class Expr:
 
     @staticmethod
     def const(c) -> "Expr":
+        if type(c) is int:
+            return Expr(Polynomial.const(c), P_ONE, _reduced=True)
         c = Fraction(c)
         return Expr(Polynomial.const(c.numerator),
                     Polynomial.const(c.denominator), _reduced=True)
@@ -83,7 +81,7 @@ class Expr:
         return self.num.is_const and self.den.is_const
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     def atoms(self) -> set:
         """Atoms appearing at top level (log atoms included, not opened)."""
@@ -134,7 +132,12 @@ class Expr:
                 and other.num == self.num and other.den == self.den)
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.num, self.den))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         from .render import render
@@ -409,13 +412,12 @@ def substitute(e: Expr, atom: Atom, value: Expr) -> Expr:
 # -- tree normalization --------------------------------------------------------
 
 
-def normalize(tree) -> Expr:
-    """Canonical Expr of a nested tuple arithmetic tree.
+_BINARY = {"add": operator.add, "sub": operator.sub,
+           "mul": operator.mul, "div": operator.truediv}
+_UNARY = ("neg", "log", "pow")
 
-    Nodes: ("int", n), ("rat", p, q), ("atom", a), ("expr", e),
-    ("neg", x), ("log", x), ("pow", x, k) with integer k, and
-    ("add" | "sub" | "mul" | "div", left, right).
-    """
+
+def _leaf(tree) -> Expr:
     tag = tree[0]
     if tag == "int":
         return const(tree[1])
@@ -425,20 +427,38 @@ def normalize(tree) -> Expr:
         return Expr.atom(tree[1])
     if tag == "expr":
         return tree[1]
-    if tag == "neg":
-        return -normalize(tree[1])
-    if tag == "log":
-        return log(normalize(tree[1]))
-    if tag == "pow":
-        return normalize(tree[1]) ** tree[2]
-    if tag in ("add", "sub", "mul", "div"):
-        left = normalize(tree[1])
-        right = normalize(tree[2])
-        if tag == "add":
-            return left + right
-        if tag == "sub":
-            return left - right
-        if tag == "mul":
-            return left * right
-        return left / right
     raise ValueError(f"unknown expression tree node {tag!r}")
+
+
+def normalize(tree) -> Expr:
+    """Canonical Expr of a nested tuple arithmetic tree.
+
+    Nodes: ("int", n), ("rat", p, q), ("atom", a), ("expr", e),
+    ("neg", x), ("log", x), ("pow", x, k) with integer k, and
+    ("add" | "sub" | "mul" | "div", left, right).  The walk keeps its own
+    stack, so a long chain like q + q + ... + q is no deeper to Python than
+    a short one; left operands are normalized before right ones.
+    """
+    values = []
+    stack = [(tree, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        tag = node[0]
+        if operands_done:
+            x = values.pop()
+            if tag in _BINARY:
+                x = _BINARY[tag](values.pop(), x)
+            elif tag == "neg":
+                x = -x
+            elif tag == "log":
+                x = log(x)
+            else:
+                x = x ** node[2]
+            values.append(x)
+        elif tag in _BINARY:
+            stack += ((node, True), (node[2], False), (node[1], False))
+        elif tag in _UNARY:
+            stack += ((node, True), (node[1], False))
+        else:
+            values.append(_leaf(node))
+    return values[0]

@@ -22,6 +22,9 @@ from .hierarchy import builtin
 _OPS = set("+-*/^(),")
 _BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_PREC = 30
+# deepest nesting the parser accepts; deeper input is a ParseError, which
+# keeps the recursive parse and every later walk far from Python's limit
+_MAX_DEPTH = 100
 
 
 class _Token:
@@ -104,6 +107,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -127,6 +131,19 @@ class _Parser:
         return tree
 
     def expression(self, min_prec: int):
+        # every parenthesis, log call, unary minus and operator of higher
+        # precedence nests one level
+        if self.depth == _MAX_DEPTH:
+            tok = self.peek()
+            raise ParseError(
+                f"expression nested more than {_MAX_DEPTH} levels deep",
+                tok.line, tok.col)
+        self.depth += 1
+        tree = self._operators(min_prec)
+        self.depth -= 1
+        return tree
+
+    def _operators(self, min_prec: int):
         left = self.unary()
         while True:
             tok = self.peek()

@@ -1,20 +1,28 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials with integer coefficients.
 
 A monomial is a tuple of (atom, exponent) pairs in ascending atom order with
 strictly positive exponents; the empty tuple is the unit monomial.  A
-polynomial stores its nonzero terms sorted in descending degree-lexicographic
-monomial order, so two polynomials are semantically equal iff they are
-structurally equal.
+polynomial stores its nonzero int coefficients with their monomials, sorted
+in descending degree-lexicographic monomial order, so two polynomials are
+semantically equal iff they are structurally equal.  Rational values live
+one level up, as a numerator and denominator in ``expr.Expr``.
 
-The gcd here is the content-and-primitive-part recursion with a primitive
-pseudo-remainder sequence in the largest atom, which is plenty for the
-expression sizes produced by jet orders up to six.
+The gcd is the content-and-primitive-part recursion in the largest atom.
+One image of both primitive parts at a random point modulo a word-size prime
+bounds the degree of their gcd.  That settles coprime pairs at once, and
+pairs where the smaller part divides the larger by one trial division, which
+covers almost every gcd that jet calculus asks for.  A proper common factor
+is read off the gcd of the two values at a large integer (GCDHEU), and the
+primitive pseudo-remainder sequence is the last resort.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import random
+from heapq import heappop, heappush
 from math import gcd as _int_gcd
+from math import isqrt
+from operator import index as _as_int
 from typing import Iterable
 
 from .atoms import Atom
@@ -112,15 +120,15 @@ def mono_without(m: Mono, atom: Atom) -> Mono:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int coefficients."""
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: tuple):
-        # terms must be presorted descending with nonzero coefficients;
-        # use from_dict for untrusted input.
+        # terms must be presorted descending with nonzero int coefficients;
+        # use from_dict for untrusted input.  The hash is computed on first
+        # use, since most intermediate polynomials are never hashed.
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial values are immutable")
@@ -132,15 +140,15 @@ class Polynomial:
         return Polynomial(tuple(items))
 
     @staticmethod
-    def const(c) -> "Polynomial":
-        c = Fraction(c)
+    def const(c: int) -> "Polynomial":
+        c = _as_int(c)
         if c == 0:
             return P_ZERO
         return Polynomial(((UNIT_MONO, c),))
 
     @staticmethod
     def atom(a: Atom) -> "Polynomial":
-        return Polynomial(((((a, 1),), Fraction(1)),))
+        return Polynomial(((((a, 1),), 1),))
 
     # -- predicates -------------------------------------------------------
 
@@ -152,9 +160,9 @@ class Polynomial:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and not self.terms[0][0]:
             return self.terms[0][1]
         raise ValueError("polynomial is not constant")
@@ -163,7 +171,12 @@ class Polynomial:
         return isinstance(other, Polynomial) and other.terms == self.terms
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.terms)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         if not self.terms:
@@ -200,15 +213,21 @@ class Polynomial:
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+    def scale(self, c: int) -> "Polynomial":
+        c = _as_int(c)
         if c == 0 or self.is_zero:
             return P_ZERO
         if c == 1:
             return self
         return Polynomial(tuple((m, k * c) for m, k in self.terms))
 
-    def mul_term(self, mono: Mono, coeff: Fraction) -> "Polynomial":
+    def div_int(self, c: int) -> "Polynomial":
+        """self / c for a nonzero int c that divides every coefficient."""
+        if c == 1:
+            return self
+        return Polynomial(tuple((m, k // c) for m, k in self.terms))
+
+    def mul_term(self, mono: Mono, coeff: int) -> "Polynomial":
         if coeff == 0 or self.is_zero:
             return P_ZERO
         if not mono:
@@ -278,16 +297,9 @@ class Polynomial:
                 deg = e
         return deg
 
-    def coeff_content(self) -> Fraction:
-        """Positive rational content: gcd of numerators / lcm applied via Fraction."""
-        num_gcd = 0
-        den_lcm = 1
-        for _, c in self.terms:
-            num_gcd = _int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        if num_gcd == 0:
-            return Fraction(0)
-        return Fraction(num_gcd, den_lcm)
+    def coeff_content(self) -> int:
+        """gcd of the coefficients, positive (0 for the zero polynomial)."""
+        return _int_gcd(*[c for _, c in self.terms])
 
     def mono_content(self) -> Mono:
         """Largest monomial dividing every term."""
@@ -352,45 +364,77 @@ class Polynomial:
 
 
 P_ZERO = Polynomial(())
-P_ONE = Polynomial(((UNIT_MONO, Fraction(1)),))
+P_ONE = Polynomial(((UNIT_MONO, 1),))
 
 
 # -- exact division and gcd ------------------------------------------------
 
 
+class _LargestFirst:
+    """Heap entry for a monomial; the heap pops the largest monomial first."""
+
+    __slots__ = ("key", "mono")
+
+    def __init__(self, mono: Mono):
+        self.key = mono_key(mono)
+        self.mono = mono
+
+    def __lt__(self, other: "_LargestFirst") -> bool:
+        return self.key > other.key
+
+
 def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """num / den when den divides num exactly; raises ValueError otherwise."""
+    """num / den when den divides num with an integral quotient; raises
+    ValueError otherwise.
+
+    For a primitive den (integer content 1, as every poly_gcd result is) the
+    quotient is integral whenever it exists, by Gauss's lemma.
+    """
     if den.is_zero:
         raise DivisionByZero("polynomial division by zero")
     if num.is_zero:
         return P_ZERO
-    if den.is_const:
-        return num.scale(1 / den.const_value())
     if len(den.terms) == 1:
         m, c = den.terms[0]
-        return num.div_mono(m).scale(1 / c)
-    lead_m, lead_c = den.leading()
-    rem = num
-    out = {}
-    while not rem.is_zero:
-        rm, rc = rem.leading()
-        q = mono_div(rm, lead_m)
-        if q is None:
+        if c != 1 and any(k % c for _, k in num.terms):
             raise ValueError("inexact polynomial division")
-        coef = rc / lead_c
-        out[q] = out.get(q, Fraction(0)) + coef
-        rem = rem.sub(den.mul_term(q, coef))
-    return Polynomial.from_dict(out)
+        return num.div_mono(m).div_int(c)
+    (lead_m, lead_c), tail = den.terms[0], den.terms[1:]
+    # The remainder is a dict with a heap of its monomials.  Each step
+    # cancels the largest one, and every monomial it adds is smaller than
+    # that, so a monomial, once popped, never comes back.
+    rem = dict(num.terms)
+    heap = [_LargestFirst(m) for m, _ in num.terms]  # sorted, hence a heap
+    out = []
+    while heap:
+        m = heappop(heap).mono
+        c = rem.pop(m)
+        if not c:
+            continue
+        q = mono_div(m, lead_m)
+        coef, r = divmod(c, lead_c)
+        if q is None or r:
+            raise ValueError("inexact polynomial division")
+        out.append((q, coef))  # q's come out in descending order
+        for dm, dc in tail:
+            nm = mono_mul(q, dm)
+            v = rem.get(nm)
+            if v is None:
+                rem[nm] = -coef * dc
+                heappush(heap, _LargestFirst(nm))
+            else:
+                rem[nm] = v - coef * dc
+    return Polynomial(tuple(out))
 
 
 def _pos_primitive(p: Polynomial) -> Polynomial:
-    """Divide out rational content and make the leading coefficient positive."""
+    """Divide out the integer content and make the leading coefficient positive."""
     if p.is_zero:
         return p
     c = p.coeff_content()
     if p.leading()[1] < 0:
         c = -c
-    return p.scale(1 / c)
+    return p.div_int(c)
 
 
 def _prs_gcd(f: list, g: list, atom: Atom) -> Polynomial:
@@ -444,8 +488,138 @@ def _prs_gcd(f: list, g: list, atom: Atom) -> Polynomial:
         f, g = g, prim(trim(r)) if r else []
 
 
+# The image certificate evaluates at a point modulo the Mersenne prime
+# 2^61 - 1, drawn from a private fixed-seed generator.
+_PRIME = (1 << 61) - 1
+_POINTS = random.Random(20240617)
+
+
+def _image(coeffs: list, point: dict) -> list:
+    """Coefficients in F_p of a coefficient list evaluated at point."""
+    out = []
+    for c in coeffs:
+        s = 0
+        for m, k in c.terms:
+            for a, e in m:
+                k = k * pow(point[a], e, _PRIME) % _PRIME
+            s += k
+        out.append(s % _PRIME)
+    return out
+
+
+def _gcd_degree_mod(f: list, g: list) -> int:
+    """Degree of gcd(f, g) in F_p[x]; f, g are coefficient lists, lowest
+    first, with nonzero leading entries."""
+    while g:
+        inv = pow(g[-1], -1, _PRIME)
+        dg = len(g) - 1
+        f = list(f)
+        while len(f) > dg:
+            c = f.pop() * inv % _PRIME
+            if c:
+                off = len(f) - dg
+                for i in range(dg):
+                    f[off + i] = (f[off + i] - c * g[i]) % _PRIME
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _image_gcd_degree(f: list, g: list, atom: Atom):
+    """An upper bound on deg_atom gcd(f, g) from one modular image, or None.
+
+    f and g are coefficient lists in atom of polynomials with integer
+    coefficients, and G = gcd(f, g) is taken primitive, so f/G has integer
+    coefficients too (Gauss's lemma).  Let phi evaluate every other atom at
+    a random point and reduce mod p.  If phi(lc f) != 0, then, as
+    lc f = lc G * lc(f/G), phi(lc G) divides phi(lc f) != 0, so
+    deg phi(G) = deg G.  phi(G) divides both images, hence their gcd in
+    F_p[x], so deg G <= k, that gcd's degree.  The bound holds at every
+    point: an unlucky one only raises k or zeroes a leading coefficient
+    (None), and both send poly_gcd down its slower exact path.  So the
+    point decides how fast poly_gcd answers, never what it answers.
+    """
+    atoms = set()
+    for c in f + g:
+        atoms |= c.atoms()
+    point = {a: _POINTS.randrange(1, _PRIME) for a in atoms}
+    fi = _image(f, point)
+    gi = _image(g, point)
+    if not fi[-1] or not gi[-1]:
+        return None
+    return _gcd_degree_mod(fi, gi)
+
+
+def _divides(d: Polynomial, p: Polynomial) -> bool:
+    try:
+        exact_div(p, d)
+    except ValueError:
+        return False
+    return True
+
+
+def _evaluate(p: Polynomial, atom: Atom, v: int) -> Polynomial:
+    """p with atom replaced by the integer v."""
+    d = {}
+    for m, c in p.terms:
+        e = mono_degree_in(m, atom)
+        if e:
+            m = mono_without(m, atom)
+            c *= v ** e
+        d[m] = d.get(m, 0) + c
+    return Polynomial.from_dict(d)
+
+
+def _xi_adic(p: Polynomial, atom: Atom, xi: int) -> Polynomial:
+    """The polynomial in atom whose coefficients are the balanced base-xi
+    digits of p's coefficients, so that its value at atom = xi is p."""
+    d = {}
+    half = xi // 2
+    for m, c in p.terms:
+        e = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                d[mono_mul(m, ((atom, e),)) if e else m] = r
+            c = (c - r) // xi
+            e += 1
+    return Polynomial.from_dict(d)
+
+
+def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom, k: int):
+    """The primitive gcd G of f and g read off its value at atom = xi, or
+    None after six values of xi (GCDHEU: Char, Geddes and Gonnet, 1989).
+
+    k must bound deg_atom G, and the coefficients of f in atom must have no
+    common factor but an integer.  A candidate h is accepted only when it
+    has degree k in atom and divides f and g: then h divides G, and G/h,
+    of degree 0 in atom, divides every coefficient of f in atom, so it is
+    an integer, and h = G up to sign.
+    """
+    fn = max(abs(c) for _, c in f.terms)
+    gn = max(abs(c) for _, c in g.terms)
+    b = 2 * min(fn, gn) + 29
+    xi = max(min(b, 99 * isqrt(b)),
+             2 * min(fn // abs(f.leading()[1]), gn // abs(g.leading()[1])) + 4)
+    for _ in range(6):
+        fv = _evaluate(f, atom, xi)
+        gv = _evaluate(g, atom, xi)
+        if not fv.is_zero and not gv.is_zero:
+            # gcd of the two values over the integers; G's value divides it
+            hv = poly_gcd(fv, gv).scale(
+                _int_gcd(fv.coeff_content(), gv.coeff_content()))
+            h = _pos_primitive(_xi_adic(hv, atom, xi))
+            if h.degree_in(atom) == k and _divides(h, f) and _divides(h, g):
+                return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Primitive gcd with positive leading coefficient (rational content dropped).
+    """Primitive gcd with positive leading coefficient (integer content dropped).
 
     gcd(0, q) = primitive part of q; gcd of two constants is 1.
     """
@@ -461,7 +635,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     mg = mono_gcd(mp, mq)
     p = p.div_mono(mp)
     q = q.div_mono(mq)
-    base = Polynomial(((mg, Fraction(1)),)) if mg else P_ONE
+    base = Polynomial(((mg, 1),)) if mg else P_ONE
     if p.is_const or q.is_const:
         return base
 
@@ -484,5 +658,28 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
     pp_p = [exact_div(c, cont_p) for c in pu]
     pp_q = [exact_div(c, cont_q) for c in qu]
-    g = _prs_gcd(pp_p, pp_q, atom)
-    return _pos_primitive(base.mul(cont).mul(g))
+    # base and cont are primitive with positive leading coefficients, and so
+    # is their product (Gauss's lemma): the early returns need no
+    # _pos_primitive.
+    head = base.mul(cont)
+    k = _image_gcd_degree(pp_p, pp_q, atom)
+    if k == 0:
+        # deg G = 0: G is a common factor of the coefficients of the
+        # primitive part pp_p, so a constant
+        return head
+    f = Polynomial.from_univariate(pp_p, atom)
+    g = Polynomial.from_univariate(pp_q, atom)
+    if k == min(len(pp_p), len(pp_q)) - 1:
+        # G may be all of the smaller part; it is iff that part divides
+        # the larger one
+        small, large = (f, g) if len(pp_p) <= len(pp_q) else (g, f)
+        small = _pos_primitive(small)
+        if _divides(small, large):
+            return head.mul(small)
+    elif k is not None:
+        # deg G <= k, below both degrees: G is a proper factor of both
+        h = _heuristic_gcd(f, g, atom, k)
+        if h is not None:
+            return head.mul(h)
+    # an unlucky point, or no luck with xi
+    return _pos_primitive(head.mul(_prs_gcd(pp_p, pp_q, atom)))

@@ -148,7 +148,7 @@ def _json_poly(p: Polynomial) -> list:
     out = []
     for mono, coeff in p.terms:
         out.append({
-            "coeff": {"n": str(coeff.numerator), "d": str(coeff.denominator)},
+            "coeff": {"n": str(coeff), "d": "1"},
             "atoms": [_json_atom(a, ex) for a, ex in mono],
         })
     if not out:

@@ -20,7 +20,7 @@ from .atoms import Jet, LogAtom, Param
 from .errors import ReservedParameter, UnsupportedAtom
 from .expr import Expr, _content_and_sign, const, jet, param, substitute_many
 from .jets import _dt_poly, total_derivative
-from .poly import Polynomial, exact_div, mono_gcd, poly_gcd
+from .poly import P_ONE, Polynomial, exact_div, mono_gcd, poly_gcd
 
 RESERVED_NAMES = ("a", "b", "c", "d")
 
@@ -130,14 +130,14 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
 
     # U is linear in q0; its primitive part is irreducible, so trial
     # division by it plus a gcd against the U-free denominator factor gives
-    # the fully reduced fraction without a big multivariate gcd
+    # the fully reduced fraction without a big multivariate gcd.  The
+    # content takes U's integer content too, so that ubase is primitive and
+    # an integral quotient exists whenever ubase divides at all.
     c0, c1 = U.as_univariate(Jet(0))
-    cont = poly_gcd(c0, c1)
-    if not cont.is_const:
-        ubase = exact_div(U, cont)
+    cont = poly_gcd(c0, c1).scale(U.coeff_content())
+    ubase = exact_div(U, cont)
+    if cont != P_ONE:
         den_poly = den_poly.mul(cont.pow(uexp))
-    else:
-        ubase = U
 
     g = mono_gcd(num.mono_content(), den_poly.mono_content())
     if g:

@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jetvar
 from jetvar import is_null, render, builtin, sigma, schippers, l2, pre_schwarzian
 from jetvar.cli import run_cli
 
@@ -210,3 +215,30 @@ def test_usage_exits(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("src", [
+    "q" + "+q" * 3000,
+    "q" + "*q" * 3000,
+    "(" * 1500 + "q" + ")" * 1500,
+    "log(" * 400 + "q" + ")" * 400,
+], ids=["long-sum", "long-product", "deep-parentheses", "deep-logs"])
+def test_long_and_deep_input(capsys, src):
+    # a long flat chain is computed; nesting past the parser's depth limit
+    # is a parse error, not a RecursionError
+    code, _, err = run(capsys, "el", src)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+def test_python_dash_m():
+    src = str(Path(jetvar.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-m", "jetvar", "el", "sigma(3)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == render(
+        jetvar.euler_lagrange(jetvar.sigma(3)))
+    assert proc.stderr == ""

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jetvar import (
     TIME,
@@ -15,7 +16,10 @@ from jetvar import (
     Param,
     UnsupportedAtom,
     UnsupportedLogArgument,
+    parse_expr,
 )
+from jetvar import poly
+from jetvar.poly import P_ZERO, Polynomial, exact_div, poly_gcd
 
 from conftest import hypo_expr_strategy, rand_poly
 
@@ -158,8 +162,6 @@ def test_additive_and_multiplicative_identities(x):
 @given(hypo_expr_strategy())
 def test_reduced_invariants(x):
     # no common factor survives reduction, and contents are integral
-    from jetvar.poly import poly_gcd
-
     g = poly_gcd(x.num, x.den)
     assert g.is_const
     assert x.den.leading()[1] > 0
@@ -179,3 +181,98 @@ def test_random_ring_identities_bulk():
         y = rand_poly(rng, jets_max=3)
         assert (x + y) * (x - y) == x ** 2 - y ** 2
         assert (x * y) / y == x
+
+
+def _num(src: str) -> Polynomial:
+    return parse_expr(src).num
+
+
+def test_exact_div_is_integral():
+    assert exact_div(_num("2*q^2 + q"), _num("2*q + 1")) == _num("q")
+    assert exact_div(_num("2*q + 4"), _num("2")) == _num("q + 2")
+    for num, den in (("q + 1", "2"), ("q^2 + q", "2*q + 2"),
+                     ("q^2 + 1", "q + 1"), ("q*a1 + 1", "q")):
+        with pytest.raises(ValueError):
+            exact_div(_num(num), _num(den))
+
+
+class _FixedPoint:
+    """Stands in for poly's point generator: every atom evaluates to 1."""
+
+    def randrange(self, lo, hi):
+        return 1
+
+
+def test_gcd_survives_unlucky_points(monkeypatch):
+    # At q = 1 both images below lie about the gcd in a1: the first pair's
+    # images coincide, and the second's common factor loses its leading
+    # coefficient.  Trial division and the leading-coefficient check keep
+    # the answers exact.
+    monkeypatch.setattr(poly, "_POINTS", _FixedPoint())
+    assert poly_gcd(_num("a1 + q"), _num("a1 + 1")) == _num("1")
+    G = "((q - 1)*a1 + 1)"
+    assert poly_gcd(_num(f"{G}*(a1 + 2)"), _num(f"{G}*(a1 + 3)")) == _num(G)
+
+
+GCD_ATOMS = (TIME, Jet(0), Jet(1), Param("a1"))
+
+
+def _poly_of(terms) -> Polynomial:
+    p = P_ZERO
+    for c, factors in terms:
+        term = Polynomial.const(c)
+        for a, e in factors:
+            term = term.mul(Polynomial.atom(a).pow(e))
+        p = p.add(term)
+    return p
+
+
+def poly_strategy():
+    """Small nonzero integer polynomials in t, q, q' and a1."""
+    factor = st.tuples(st.sampled_from(GCD_ATOMS), st.integers(1, 3))
+    term = st.tuples(st.integers(-6, 6).filter(bool),
+                     st.lists(factor, max_size=3))
+    return (st.lists(term, min_size=1, max_size=4).map(_poly_of)
+            .filter(lambda p: not p.is_zero))
+
+
+def gcd_cases():
+    nonconst = poly_strategy().filter(lambda p: not p.is_const)
+    return st.tuples(poly_strategy(), poly_strategy(), nonconst)
+
+
+# a proper common factor on which the pseudo-remainder sequence alone ran
+# for minutes
+SWELLING_CASE = ("-2*q^2*a1^6 + q' - 12",
+                 "-3*t^3*q'*a1^3 + 2*q^3*a1^2 - q^3 - 6*a1^2",
+                 "2*t^3*q'^4 - 2*t*q^2*a1^2")
+
+
+@given(gcd_cases())
+@example(tuple(_num(src) for src in SWELLING_CASE))
+def test_gcd_of_products_with_a_common_factor(case):
+    f, g, h = case
+    fh, gh = f.mul(h), g.mul(h)
+    d = poly_gcd(fh, gh)
+    # exact_div raises ValueError unless the division is exact
+    assert exact_div(fh, d).mul(d) == fh
+    assert exact_div(gh, d).mul(d) == gh
+    exact_div(d, h.div_int(h.coeff_content()))
+    assert d.coeff_content() == 1 and d.leading()[1] > 0
+
+
+@given(gcd_cases())
+def test_gcd_degrees_agree_with_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    syms = {a: sympy.Symbol(f"x{i}") for i, a in enumerate(GCD_ATOMS)}
+
+    def to_sympy(p):
+        return sympy.Add(*[c * sympy.Mul(*[syms[a] ** e for a, e in m])
+                           for m, c in p.terms])
+
+    f, g, h = case
+    fh, gh = f.mul(h), g.mul(h)
+    d = poly_gcd(fh, gh)
+    want = sympy.Poly(sympy.gcd(to_sympy(fh), to_sympy(gh)), *syms.values())
+    for a, s in syms.items():
+        assert d.degree_in(a) == want.degree(s)

@@ -4,7 +4,16 @@ import random
 
 from hypothesis import example, given
 
-from jetvar import TIME, Expr, Jet, Param, jet_order, prolong, total_derivative
+from jetvar import (
+    TIME,
+    Expr,
+    Jet,
+    Param,
+    jet_order,
+    parse_expr,
+    prolong,
+    total_derivative,
+)
 
 from conftest import hypo_expr_strategy, rand_poly
 
@@ -101,3 +110,13 @@ def test_prolongation_commutes_with_dt():
         lhs = prolong(phi, total_derivative(e))
         rhs = total_derivative(prolong(phi, e))
         assert lhs == rhs
+
+
+def test_prolongation_with_a_large_common_denominator():
+    # the log's chain rule and the rational characteristic give the field
+    # a large common denominator; its final gcd once stalled for seconds
+    phi = parse_expr("(q'*q'' - q - t)/(q' + t - 4)")
+    e = parse_expr("log(p^2 + 2*q*p + q^2 + 1)")
+    expect = sum((total_derivative(phi, k) * e.partial(Jet(k))
+                  for k in range(e.jet_order() + 1)), Expr.const(0))
+    assert prolong(phi, e) == expect

@@ -160,3 +160,14 @@ def test_non_invariant_polynomial():
     for _ in range(5):
         e = rand_poly(rng, jets_max=2, allow_t=False, max_terms=2)
         assert sl2_finite_check(e) == sl2_residues(e).invariant
+
+
+def test_generic_route_at_jet_order_four():
+    # a log sends the finite check down the substitute_many route; at jet
+    # order 4 its gcds once ran for minutes in the pseudo-remainder sequence
+    e = sigma(4) + Expr.log(Q1)
+    assert not sl2_finite_check(e)  # log(q') picks up -2*log(c*q + d)
+    assert not sl2_residues(e).invariant
+    e = sigma(4) + Expr.log(sigma(3))
+    assert sl2_finite_check(e)
+    assert sl2_residues(e).invariant

@@ -90,6 +90,13 @@ def test_conservation_identity():
         assert lhs.is_zero
 
 
+def test_conservation_identity_over_a_linear_denominator():
+    # third-order, quartic numerator over 4q + 28: the gcds of the sums in
+    # E(L) once swelled for seconds in the pseudo-remainder sequence
+    L = (-Q2 ** 2 * Q3 ** 2 - 9 * Q0 * Q2 ** 2 - 7 * Q1 * Q2) / (4 * Q0 + 28)
+    assert (total_derivative(jacobi(L)) + Q1 * euler_lagrange(L)).is_zero
+
+
 def test_is_null_verdicts():
     assert is_null(total_derivative(Q0 ** 2 * Q1))
     assert not is_null(l2())
