@@ -18,6 +18,7 @@ from .errors import (
     NonlinearTop,
     NotNull,
     NullODE,
+    NumericOverflow,
     NumericSingularity,
     ParseError,
     ReservedParameter,
@@ -106,6 +107,7 @@ __all__ = [
     "MissingAtom",
     "NullODE",
     "NumericSingularity",
+    "NumericOverflow",
     "ParseError",
     "UnsupportedExponent",
 ]

@@ -16,6 +16,7 @@ from .hierarchy import BUILTIN_NAMES, builtin
 from .jets import total_derivative
 from .numeric import derive_ode, eval_expr, integrate_rk4, monitor
 from .parser import parse_expr
+from .poly import decimal_text
 from .render import render
 from .sl2 import sl2_residues
 from .variational import euler_lagrange, extract_gauge, is_null, jacobi
@@ -120,7 +121,7 @@ def _csv_rows(traj, monitored):
         yield ",".join(row)
 
 
-def _cmd_ode_run(ns, mode: str) -> int:
+def _cmd_ode_run(ns) -> int:
     L = parse_expr(ns.lagrangian)
     system = derive_ode(L)
     try:
@@ -160,7 +161,7 @@ def _dispatch(ns) -> int:
         print(render(builtin(ns.name, ns.order), mode))
         return 0
     if cmd == "ode-run":
-        return _cmd_ode_run(ns, mode)
+        return _cmd_ode_run(ns)
     if cmd == "eval":
         e = parse_expr(_source(ns))
         try:
@@ -198,7 +199,7 @@ def _dispatch(ns) -> int:
         return 0
     if cmd == "order":
         n = e.jet_order()
-        print("none" if n is None else n)
+        print("none" if n is None else decimal_text(n))
         return 0
     if cmd == "sl2":
         rep = sl2_residues(e)

@@ -2,6 +2,9 @@
 
 Everything derives from JetvarError so callers (and the CLI) can map the
 whole family to one failure path while still catching specific conditions.
+Floating-point evaluation raises NumericSingularity, or its subclass
+NumericOverflow when a coefficient or a power does not fit in a float,
+never a bare OverflowError.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ class NumericSingularity(JetvarError):
     def __init__(self, message: str, trajectory=None):
         super().__init__(message)
         self.trajectory = list(trajectory) if trajectory is not None else []
+
+
+class NumericOverflow(NumericSingularity):
+    """A coefficient, or a power at the evaluation point, is too large for
+    a float."""
 
 
 class ParseError(JetvarError):

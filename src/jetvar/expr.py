@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedAtom,
     UnsupportedLogArgument,
 )
-from .poly import P_ONE, P_ZERO, Polynomial, exact_div, poly_gcd
+from .poly import P_ONE, P_ZERO, Polynomial, decimal_text, exact_div, poly_gcd
 
 
 def _content_and_sign(num: Polynomial, den: Polynomial):
@@ -110,11 +110,10 @@ class Expr:
         return best
 
     def sort_key(self):
-        key_n = tuple((tuple((a.sort_key(), e) for a, e in m), str(c))
-                      for m, c in self.num.terms)
-        key_d = tuple((tuple((a.sort_key(), e) for a, e in m), str(c))
-                      for m, c in self.den.terms)
-        return (key_n, key_d)
+        return tuple(
+            tuple((tuple((a.sort_key(), e) for a, e in m), decimal_text(c))
+                  for m, c in p.terms)
+            for p in (self.num, self.den))
 
     def partial(self, atom: Atom) -> "Expr":
         return partial(self, atom)
@@ -291,8 +290,10 @@ def log(arg: Expr) -> Expr:
     if arg.is_const:
         if arg.const_value() == 1:
             return E_ZERO
-        raise UnsupportedLogArgument(
-            f"log of constant {arg.const_value()} has no exact value")
+        value = decimal_text(arg.num.const_value())
+        if arg.den != P_ONE:
+            value += "/" + decimal_text(arg.den.const_value())
+        raise UnsupportedLogArgument(f"log of constant {value} has no exact value")
     return Expr.atom(LogAtom(arg))
 
 

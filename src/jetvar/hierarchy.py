@@ -17,6 +17,7 @@ from functools import lru_cache
 from .errors import UnsupportedOrder
 from .expr import Expr, jet
 from .jets import total_derivative
+from .poly import decimal_text
 
 
 def pre_schwarzian() -> Expr:
@@ -34,7 +35,8 @@ def l2() -> Expr:
 def sigma(n: int) -> Expr:
     """The SL(2,R)-invariant higher Schwarzian of order n, 3 <= n <= 6."""
     if not isinstance(n, int) or not 3 <= n <= 6:
-        raise UnsupportedOrder(f"sigma is defined for orders 3..6, got {n!r}")
+        got = decimal_text(n) if isinstance(n, int) else repr(n)
+        raise UnsupportedOrder(f"sigma is defined for orders 3..6, got {got}")
     if n == 3:
         v = pre_schwarzian()
         return jet(3) / jet(1) - Fraction(3, 2) * v * v

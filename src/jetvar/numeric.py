@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .atoms import TIME, Jet, LogAtom
-from .errors import MissingAtom, NullODE, NumericSingularity
+from .errors import MissingAtom, NullODE, NumericOverflow, NumericSingularity
 from .expr import Expr
 from .poly import Polynomial
 from .variational import euler_lagrange, isolate_top
@@ -50,7 +50,12 @@ def _compile_poly(p: Polynomial, slots: dict):
             (_compile(atom.arg, slots) if isinstance(atom, LogAtom)
              else slots[atom], ex)
             for atom, ex in mono)
-        terms.append((float(coeff), factors))
+        try:
+            terms.append((float(coeff), factors))
+        except OverflowError:
+            raise NumericOverflow(
+                f"coefficient of {coeff.bit_length()} bits does not fit in a float"
+            ) from None
     return tuple(terms)
 
 
@@ -67,7 +72,12 @@ def _eval_terms(terms, y) -> float:
                     raise NumericSingularity(
                         "log argument is not positive at the evaluation point")
                 x = math.log(x)
-            v *= x ** ex
+            try:
+                v *= x ** ex
+            except OverflowError:
+                raise NumericOverflow(
+                    "a power does not fit in a float at the evaluation point"
+                ) from None
         total += v
     return total
 
@@ -169,7 +179,7 @@ def integrate_rk4(sys: ODESystem, init, t0: float, t1: float, h: float):
             )
             traj.append((t0 + (i + 1) * h, y))
     except NumericSingularity as exc:
-        raise NumericSingularity(str(exc), trajectory=traj) from None
+        raise type(exc)(str(exc), trajectory=traj) from None
     return traj
 
 

@@ -18,8 +18,11 @@ from .atoms import TIME, Jet, Param
 from .errors import ParseError, UnsupportedExponent
 from .expr import Expr, normalize
 from .hierarchy import builtin
+from .poly import decimal_int
 
 _OPS = set("+-*/^(),")
+# ASCII only: str.isdigit also accepts digits such as "²" that int() rejects
+_DIGITS = set("0123456789")
 _BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_PREC = 30
 # deepest nesting the parser accepts; deeper input is a ParseError, which
@@ -62,11 +65,11 @@ def _lex(text: str):
             line += 1
             col = 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start, scol = i, col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 advance()
-            tokens.append(_Token("int", int(text[start:i]), line, scol))
+            tokens.append(_Token("int", decimal_int(text[start:i]), line, scol))
             continue
         if ch.isalpha() or ch == "_":
             start, scol = i, col
@@ -83,10 +86,10 @@ def _lex(text: str):
                     continue
                 if text[i:i + 2] == "^(":
                     j = i + 2
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
                     if j > i + 2 and j < n and text[j] == ")":
-                        order = int(text[i + 2:j])
+                        order = decimal_int(text[i + 2:j])
                         advance(j + 1 - i)
                         tokens.append(_Token("jet", order, line, scol))
                         continue

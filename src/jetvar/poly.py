@@ -19,6 +19,7 @@ primitive pseudo-remainder sequence is the last resort.
 from __future__ import annotations
 
 import random
+import sys
 from heapq import heappop, heappush
 from math import gcd as _int_gcd
 from math import isqrt
@@ -29,6 +30,32 @@ from .atoms import Atom
 from .errors import DivisionByZero
 
 Mono = tuple  # tuple[tuple[Atom, int], ...], ascending by atom sort key
+
+# str() and int() convert ints of up to this many decimal digits whatever
+# sys.set_int_max_str_digits allows (640)
+_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def decimal_text(n: int) -> str:
+    """str(n) for an int of any size.
+
+    str refuses ints longer than sys.get_int_max_str_digits() digits (4300
+    by default); Decimal converts exactly and has no such limit.
+    """
+    if n.bit_length() <= 3 * _SHORT_DIGITS:  # |n| < 8^d has at most d digits
+        return str(n)
+    from decimal import Decimal
+
+    return str(Decimal(n))
+
+
+def decimal_int(digits: str) -> int:
+    """int(digits) for a run of ASCII digits of any length."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    from decimal import Decimal
+
+    return int(Decimal(digits))
 
 UNIT_MONO: Mono = ()
 
@@ -79,7 +106,7 @@ def mono_pow(m: Mono, k: int) -> Mono:
 def mono_gcd(m1: Mono, m2: Mono) -> Mono:
     if not m1 or not m2:
         return UNIT_MONO
-    d2 = dict_of(m2)
+    d2 = dict(m2)
     out = []
     for a, e in m1:
         e2 = d2.get(a)
@@ -92,7 +119,7 @@ def mono_div(m: Mono, d: Mono) -> Mono | None:
     """m / d, or None when d does not divide m."""
     if not d:
         return m
-    dd = dict_of(m)
+    dd = dict(m)
     for a, e in d:
         have = dd.get(a, 0)
         if have < e:
@@ -102,10 +129,6 @@ def mono_div(m: Mono, d: Mono) -> Mono | None:
         else:
             dd[a] = have - e
     return tuple(sorted(dd.items(), key=lambda it: it[0].sort_key()))
-
-
-def dict_of(m: Mono) -> dict:
-    return dict(m)
 
 
 def mono_degree_in(m: Mono, atom: Atom) -> int:

@@ -12,7 +12,7 @@ import re
 
 from .atoms import Jet, LogAtom, Param, TimeAtom
 from .expr import Expr
-from .poly import Polynomial
+from .poly import Polynomial, decimal_text
 
 MODES = ("canonical-text", "latex", "json-ast")
 
@@ -23,7 +23,11 @@ def render(e: Expr, mode: str = "canonical-text") -> str:
     if mode == "latex":
         return _latex(e)
     if mode == "json-ast":
-        return json.dumps(_json_expr(e))
+        tree = _json_expr(e)
+        try:
+            return json.dumps(tree)
+        except ValueError:  # an exponent or jet order too long for str()
+            return _json_text(tree)
     raise ValueError(f"unknown render mode {mode!r}")
 
 
@@ -43,7 +47,7 @@ def _c_atom(a) -> str:
             return "q"
         if a.order <= 3:
             return "q" + "'" * a.order
-        return f"q^({a.order})"
+        return f"q^({decimal_text(a.order)})"
     if isinstance(a, Param):
         return a.name
     if isinstance(a, LogAtom):
@@ -59,10 +63,10 @@ def _poly_text(p: Polynomial, atom_text, power: str, sep: str) -> str:
     chunks = []
     for idx, (mono, coeff) in enumerate(p.terms):
         mag = abs(coeff)
-        factors = [power.format(atom_text(a), ex) if ex > 1 else atom_text(a)
-                   for a, ex in mono]
+        factors = [power.format(atom_text(a), decimal_text(ex)) if ex > 1
+                   else atom_text(a) for a, ex in mono]
         if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+            factors.insert(0, decimal_text(mag))
         body = sep.join(factors)
         if idx == 0:
             chunks.append(body if coeff > 0 else "-" + body)
@@ -110,7 +114,7 @@ def _l_atom(a) -> str:
             return r"\ddot{q}"
         if a.order == 3:
             return r"\dddot{q}"
-        return f"q^{{({a.order})}}"
+        return f"q^{{({decimal_text(a.order)})}}"
     if isinstance(a, Param):
         m = _SUBSCRIPT.match(a.name)
         if m:
@@ -148,7 +152,7 @@ def _json_poly(p: Polynomial) -> list:
     out = []
     for mono, coeff in p.terms:
         out.append({
-            "coeff": {"n": str(coeff), "d": "1"},
+            "coeff": {"n": decimal_text(coeff), "d": "1"},
             "atoms": [_json_atom(a, ex) for a, ex in mono],
         })
     if not out:
@@ -158,3 +162,16 @@ def _json_poly(p: Polynomial) -> list:
 
 def _json_expr(e: Expr) -> dict:
     return {"num": _json_poly(e.num), "den": _json_poly(e.den)}
+
+
+def _json_text(v) -> str:
+    """json.dumps(v) for the dicts, lists, strings and ints of a json-ast
+    tree, with ints of any size."""
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(x)}"
+                               for k, x in v.items()) + "}"
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_json_text, v)) + "]"
+    if isinstance(v, int):
+        return decimal_text(v)
+    return json.dumps(v)

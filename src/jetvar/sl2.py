@@ -8,6 +8,9 @@ Mobius action q -> (a*q + b)/(c*q + d) with a*d - b*c = 1:
   * finite: substituting the prolonged Mobius image of q0 with symbolic
     unimodular parameters reproduces the expression exactly.
 
+The finite route maps every input, logs included, through one polynomial
+recurrence for the jets of the map (see _mobius_image).
+
 The parameter names a, b, c, d are reserved for the group action and are
 rejected inside the expression under test.
 """
@@ -15,12 +18,13 @@ rejected inside the expression under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 
-from .atoms import Jet, LogAtom, Param
+from .atoms import TIME, Jet, LogAtom, Param
 from .errors import ReservedParameter, UnsupportedAtom
-from .expr import Expr, _content_and_sign, const, jet, param, substitute_many
-from .jets import _dt_poly, total_derivative
-from .poly import P_ONE, Polynomial, exact_div, mono_gcd, poly_gcd
+from .expr import Expr, const, jet, log, param
+from .jets import _dt_poly
+from .poly import P_ONE, P_ZERO, Polynomial, exact_div, poly_gcd
 
 RESERVED_NAMES = ("a", "b", "c", "d")
 
@@ -58,29 +62,15 @@ def sl2_residues(e: Expr) -> InvarianceReport:
     )
 
 
-def _single_param(e: Expr):
-    """The Param atom when e is exactly one bare parameter, else None."""
-    if not e.den.is_const or e.den.const_value() != 1:
-        return None
-    if len(e.num.terms) != 1:
-        return None
-    mono, coeff = e.num.terms[0]
-    if coeff != 1 or len(mono) != 1:
-        return None
-    atom, exp = mono[0]
-    if exp == 1 and isinstance(atom, Param):
-        return atom
-    return None
-
-
 def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
-    """Image of e under Jet(k) -> D_t^k(w), assembled without generic gcds.
+    """Image of e under Jet(k) -> D_t^k(w), jets inside logs included.
 
-    Every prolonged jet is N_k / U^(k+1) where U is w's denominator and the
+    Jet k maps to N_k / U^(k+1), where U is w's denominator and the
     numerators follow the polynomial recurrence
-    N_{k+1} = D_t(N_k)*U - (k+1)*N_k*D_t(U).  The image is built as one big
-    fraction over a power of U and reduced by exact division by U alone,
-    which sidesteps the multivariate gcd entirely on this shape.
+    N_{k+1} = D_t(N_k)*U - (k+1)*N_k*D_t(U).  A log whose argument has jets
+    maps to the log of its argument's image.  Each image is brought over one
+    power of U, trial-divided by the part of U that contains q, and reduced
+    by the ordinary Expr constructor.
     """
     U = w.den
     DU = _dt_poly(U)
@@ -88,90 +78,61 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
     for k in range(n):
         nk = nums[-1]
         nums.append(_dt_poly(nk).mul(U).sub(nk.mul(DU).scale(k + 1)))
+    # U = rest * ubase with rest the content of U in q, integer content
+    # included; ubase is 1 when U is free of q
+    rest = reduce(poly_gcd, U.as_univariate(Jet(0)), P_ZERO)
+    rest = rest.scale(U.coeff_content())
+    ubase = exact_div(U, rest)
 
-    upows = [Polynomial.const(1)]
+    upow = cache(U.pow)
 
-    def upow(j: int) -> Polynomial:
-        while len(upows) <= j:
-            upows.append(upows[-1].mul(U))
-        return upows[j]
+    @cache
+    def image_atom(atom) -> Polynomial:
+        """N_k for Jet(k); otherwise the atom's image, a polynomial."""
+        if isinstance(atom, Jet):
+            return nums[atom.order]
+        if isinstance(atom, LogAtom) and atom.arg.jet_order() is not None:
+            return log(image(atom.arg)).num
+        return Polynomial.atom(atom)
 
     def image_poly(p: Polynomial):
         """p with jets replaced, as (polynomial, j) meaning poly / U^j."""
-        parts = []
-        top = 0
-        for mono, coeff in p.terms:
+        weights = [sum((a.order + 1) * ex for a, ex in m if isinstance(a, Jet))
+                   for m, _ in p.terms]
+        top = max(weights)
+        out = P_ZERO
+        for (mono, coeff), j in zip(p.terms, weights):
             poly = Polynomial.const(coeff)
-            j = 0
             for atom, ex in mono:
-                if isinstance(atom, Jet):
-                    poly = poly.mul(nums[atom.order].pow(ex))
-                    j += (atom.order + 1) * ex
-                else:
-                    poly = poly.mul(Polynomial.atom(atom).pow(ex))
-            parts.append((poly, j))
-            top = max(top, j)
-        out = Polynomial.from_dict({})
-        for poly, j in parts:
+                poly = poly.mul(image_atom(atom).pow(ex))
             out = out.add(poly.mul(upow(top - j)))
         return out, top
 
-    pn, jn = image_poly(e.num)
-    pd, jd = image_poly(e.den)
-    if jd >= jn:
-        num, den_poly, uexp = pn.mul(upow(jd - jn)), pd, 0
-    else:
-        num, den_poly, uexp = pn, pd, jn - jd
+    def image(x: Expr) -> Expr:
+        num, jn = image_poly(x.num)
+        den, jd = image_poly(x.den)
+        num = num.mul(upow(max(jd - jn, 0)))
+        uexp = residual = max(jn - jd, 0)
+        while residual and not ubase.is_const:
+            try:
+                num = exact_div(num, ubase)
+            except ValueError:
+                break
+            residual -= 1
+        return Expr(num, den.mul(rest.pow(uexp)).mul(ubase.pow(residual)))
 
-    if U.degree_in(Jet(0)) != 1:
-        # degenerate map (jet-free denominator); no special structure to
-        # exploit, fall back to a full reduction
-        return Expr(num, den_poly.mul(upow(uexp)))
-
-    # U is linear in q0; its primitive part is irreducible, so trial
-    # division by it plus a gcd against the U-free denominator factor gives
-    # the fully reduced fraction without a big multivariate gcd.  The
-    # content takes U's integer content too, so that ubase is primitive and
-    # an integral quotient exists whenever ubase divides at all.
-    c0, c1 = U.as_univariate(Jet(0))
-    cont = poly_gcd(c0, c1).scale(U.coeff_content())
-    ubase = exact_div(U, cont)
-    if cont != P_ONE:
-        den_poly = den_poly.mul(cont.pow(uexp))
-
-    g = mono_gcd(num.mono_content(), den_poly.mono_content())
-    if g:
-        num, den_poly = num.div_mono(g), den_poly.div_mono(g)
-    residual = uexp
-    while residual > 0:
-        try:
-            num = exact_div(num, ubase)
-        except ValueError:
-            break
-        residual -= 1
-    g = poly_gcd(num, den_poly)
-    if not g.is_const:
-        num, den_poly = exact_div(num, g), exact_div(den_poly, g)
-    den = den_poly.mul(ubase.pow(residual)) if residual else den_poly
-    if den.is_zero:
-        from .errors import DivisionByZero
-
-        raise DivisionByZero("Mobius image denominator vanished")
-    if num.is_zero:
-        return const(0)
-    return Expr(*_content_and_sign(num, den), _reduced=True)
-
-
-def _has_log(e: Expr) -> bool:
-    return any(isinstance(a, LogAtom) for a in e.all_atoms())
+    return image(e)
 
 
 def mobius_substitute(e: Expr, a, b, c, d) -> Expr:
     """Replace every jet of q by the corresponding jet of (a*q + b)/(c*q + d).
 
-    The parameters must be jet-free.  When d is given as a bare symbolic
-    parameter it is eliminated through the unimodular constraint
-    d = (1 + b*c)/a, so the result is expressed over a, b, c only.
+    Jets inside log arguments are replaced too.  The parameters must be
+    jet-free, and a log in a parameter must not depend on t, which the
+    recurrence cannot differentiate; UnsupportedAtom is raised otherwise.
+    When d is given as a bare symbolic parameter it is eliminated through
+    the unimodular constraint d = (1 + b*c)/a, so the result is expressed
+    over a, b, c only.
     """
     a, b, c, d = (Expr._coerce(v) for v in (a, b, c, d))
     for v in (a, b, c, d):
@@ -179,21 +140,16 @@ def mobius_substitute(e: Expr, a, b, c, d) -> Expr:
             raise UnsupportedAtom("Mobius parameters must be expressions")
         if v.jet_order() is not None:
             raise UnsupportedAtom("Mobius parameters must be jet-free")
-    if _single_param(d) is not None:
+        if any(isinstance(x, LogAtom) and TIME in x.arg.all_atoms()
+               for x in v.all_atoms()):
+            raise UnsupportedAtom("Mobius parameters must not have a log in t")
+    atoms = list(d.atoms())
+    if len(atoms) == 1 and isinstance(atoms[0], Param) and d == Expr.atom(atoms[0]):
         d = (1 + b * c) / a
-    w = (a * jet(0) + b) / (c * jet(0) + d)
     n = e.jet_order()
     if n is None:
         return e
-    if _has_log(e) or any(_has_log(v) for v in (a, b, c, d)):
-        # general but slower route that recurses into log arguments
-        mapping = {Jet(0): w}
-        wk = w
-        for k in range(1, n + 1):
-            wk = total_derivative(wk)
-            mapping[Jet(k)] = wk
-        return substitute_many(e, mapping)
-    return _mobius_image(e, w, n)
+    return _mobius_image(e, (a * jet(0) + b) / (c * jet(0) + d), n)
 
 
 def sl2_finite_check(e: Expr) -> bool:

@@ -60,6 +60,24 @@ def rand_lagrangian(rng: random.Random, *, allow_t: bool = False) -> Expr:
     return p / (Expr.atom(Jet(0)) + Expr.const(rng.randint(1, 9)))
 
 
+def rand_log_expr(rng: random.Random, depth: int = 2) -> Expr:
+    """Random rational expression in t, q, q', q'' and a1 whose terms carry
+    logs of further such expressions, nested up to depth levels."""
+    def small():
+        return rand_poly(rng, jets_max=2, max_terms=2, max_exp=1, coeff_bound=9)
+
+    e = small()
+    if rng.random() < 0.4:
+        e = e / small()
+    if rng.random() < 0.3:
+        e = e * Expr.atom(Param("a1"))
+    for _ in range(rng.randint(1, 2) if depth else 0):
+        arg = rand_log_expr(rng, depth - 1)
+        if not arg.is_const:
+            e = e + small() * Expr.log(arg)
+    return e
+
+
 def hypo_expr_strategy(max_depth: int = 3):
     """Hypothesis strategy for small rational jet expressions."""
     from hypothesis import strategies as st

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,32 @@ def test_long_and_deep_input(capsys, src):
     code, _, err = run(capsys, "el", src)
     assert code in (0, 2)
     assert "Traceback" not in err
+
+
+BIG = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize("cmd, src, want", [
+    ("order", "log(2^20000*q+1)", "0"),
+    ("simplify", "2^20000*q", str(Decimal(2 ** 20000)) + "*q"),
+    ("simplify", BIG + "*q'", BIG + "*q'"),
+], ids=["log-of-a-6021-digit-coefficient", "6021-digit-coefficient",
+        "5000-digit-literal"])
+def test_integers_past_the_str_digit_limit(capsys, cmd, src, want):
+    # str() refuses ints of more than 4300 digits by default
+    code, out, err = run(capsys, cmd, src)
+    assert (code, out.strip(), err) == (0, want, "")
+
+
+def test_float_overflow_exit(capsys):
+    code, out, err = run(capsys, "eval", "2^2000*q", "--at", "q=1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "float" in err
+    code, out, err = run(
+        capsys, "ode-run", "--lagrangian", "2^2000*q'^2", "--init", "0,1",
+        "--t0", "0", "--t1", "1", "--h", "0.1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "float" in err
 
 
 def test_python_dash_m():

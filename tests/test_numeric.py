@@ -9,6 +9,7 @@ from jetvar import (
     Jet,
     MissingAtom,
     NullODE,
+    NumericOverflow,
     NumericSingularity,
     Param,
     TIME,
@@ -49,6 +50,18 @@ def test_eval_expr_missing_atom():
 def test_eval_expr_zero_denominator():
     with pytest.raises(NumericSingularity):
         eval_expr(1 / Q0, {Jet(0): 0.0})
+
+
+def test_float_overflow_is_a_typed_error():
+    with pytest.raises(NumericOverflow, match="coefficient"):
+        eval_expr(Expr.const(2) ** 2000 * Q0, {Jet(0): 1.0})
+    with pytest.raises(NumericOverflow, match="power"):
+        eval_expr(Q0 ** 400, {Jet(0): 10.0})
+    # q'' = 4 q^3 runs away; the overflow keeps the partial trajectory
+    system = derive_ode(Q1 ** 2 / 2 + Q0 ** 4)
+    with pytest.raises(NumericOverflow) as info:
+        integrate_rk4(system, (1e5, 0.0), 0.0, 10.0, 0.1)
+    assert len(info.value.trajectory) >= 2
 
 
 def test_derive_ode_oscillator():

@@ -122,6 +122,10 @@ def test_error_positions():
         parse_expr("")
     with pytest.raises(ParseError):
         parse_expr("1 ? 2")
+    # str.isdigit accepts "²", which is no decimal digit
+    with pytest.raises(ParseError) as info:
+        parse_expr("q^²")
+    assert "column 3" in str(info.value)
 
 
 def test_builtin_arity_errors():

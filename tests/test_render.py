@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,34 @@ def test_json_big_integers_stay_exact():
     doc = json.loads(render(e, "json-ast"))
     assert doc["num"][0]["coeff"]["n"] == str(big)
     assert doc["den"][0]["coeff"]["n"] == "7"
+
+
+def test_integers_past_the_str_digit_limit():
+    # 2^20000 has 6021 digits, more than str() converts by default (4300)
+    e = parse_expr("2^20000*q")
+    text = render(e)
+    assert len(text) == 6023 and text.endswith("*q")
+    assert parse_expr(text) == e
+    doc = json.loads(render(e, "json-ast"))
+    assert doc["num"][0]["coeff"]["n"] == text[:-2]
+    assert render(e, "latex") == text[:-2] + " q"
+    # a log atom's sort key spells out its argument's coefficients
+    assert render(parse_expr("log(" + text + " + 1)")) == f"log({text} + 1)"
+    # exponents and jet orders of that length print too
+    k = "1" + "0" * 5000
+    for src, key in ((f"q^{k}", "exp"), (f"q^({k})", "order")):
+        e = parse_expr(src)
+        assert parse_expr(render(e)) == e
+        doc = json.loads(render(e, "json-ast"), parse_int=Decimal)
+        assert doc["num"][0]["atoms"][0][key] == Decimal(k)
+        assert k in render(e, "latex")
+
+
+def test_json_writer_for_long_ints_matches_json_dumps():
+    from jetvar.render import _json_expr, _json_text
+
+    for e in (sigma(3), Expr.log(Q1 / 2 + T) * Q2 ** 3 / 5, Expr.const(0)):
+        assert _json_text(_json_expr(e)) == render(e, "json-ast")
 
 
 def test_unknown_mode_rejected():

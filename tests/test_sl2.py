@@ -10,6 +10,7 @@ from jetvar import (
     Jet,
     Param,
     ReservedParameter,
+    TIME,
     UnsupportedAtom,
     mobius_substitute,
     pre_schwarzian,
@@ -20,7 +21,7 @@ from jetvar import (
     total_derivative,
 )
 
-from conftest import rand_poly
+from conftest import rand_log_expr, rand_poly
 
 Q0 = Expr.atom(Jet(0))
 Q1 = Expr.atom(Jet(1))
@@ -28,6 +29,8 @@ Q2 = Expr.atom(Jet(2))
 A = Expr.atom(Param("a"))
 B = Expr.atom(Param("b"))
 C = Expr.atom(Param("c"))
+A1 = Expr.atom(Param("a1"))
+T = Expr.atom(TIME)
 
 
 def test_sigma_family_is_invariant():
@@ -163,11 +166,39 @@ def test_non_invariant_polynomial():
 
 
 def test_generic_route_at_jet_order_four():
-    # a log sends the finite check down the substitute_many route; at jet
-    # order 4 its gcds once ran for minutes in the pseudo-remainder sequence
+    # logs at jet order 4 take the same Mobius recurrence as everything
+    # else; on a separate route their gcds once ran for minutes
     e = sigma(4) + Expr.log(Q1)
     assert not sl2_finite_check(e)  # log(q') picks up -2*log(c*q + d)
     assert not sl2_residues(e).invariant
     e = sigma(4) + Expr.log(sigma(3))
     assert sl2_finite_check(e)
     assert sl2_residues(e).invariant
+
+
+MAPS = {
+    "unimodular": (A, B, C, (1 + B * C) / A),
+    "degenerate": (A, B, 0, 1 + A1),  # c = 0: U is free of q
+    "content": (1, 1, 2, 4),  # (q + 1)/(2*q + 4): U has integer content 2
+    "log-parameter": (Expr.log(A1), B, C, 1 + A1),
+    "time-parameter": (1 + T, T, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_recurrence_matches_term_by_term_substitution(name):
+    a, b, c, d = MAPS[name]
+    w = (a * Q0 + b) / (c * Q0 + d)
+    rng = random.Random(41)
+    for _ in range(4):
+        e = rand_log_expr(rng)
+        mapping = {Jet(k): total_derivative(w, k)
+                   for k in range(e.jet_order() + 1)}
+        assert mobius_substitute(e, a, b, c, d) == e.substitute_many(mapping)
+
+
+def test_log_in_t_parameter_rejected():
+    # the recurrence holds a log in a parameter fixed under D_t
+    for bad in (Expr.log(T), Expr.log(A1 + Expr.log(T + 1))):
+        with pytest.raises(UnsupportedAtom):
+            mobius_substitute(Q1, 1, bad, 0, 1)
