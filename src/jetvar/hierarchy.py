@@ -52,7 +52,8 @@ def sigma(n: int) -> Expr:
 def schippers(n: int) -> Expr:
     """The recurrence hierarchy S_n of order n >= 3."""
     if not isinstance(n, int) or n < 3:
-        raise UnsupportedOrder(f"schippers is defined for orders >= 3, got {n!r}")
+        got = decimal_text(n) if isinstance(n, int) else repr(n)
+        raise UnsupportedOrder(f"schippers is defined for orders >= 3, got {got}")
     if n == 3:
         return sigma(3)
     prev = schippers(n - 1)

@@ -1,12 +1,14 @@
 """Variational operators: Euler-Lagrange, energy function, gauge extraction.
 
-For a Lagrangian L(t, q0, ..., qn) the Euler-Lagrange expression is
+For a Lagrangian L(t, q0, ..., qn) both operators are read off the
+Ostrogradsky momenta
 
-  E(L) = sum_{i=0}^{n} (-1)^i D_t^i (dL/dq{i})
+  p_n = dL/dq{n},   p_r = dL/dq{r} - D_t p_{r+1}   (r = n-1, ..., 0),
 
-and the energy (Jacobi) function is
+one D_t per order: the Euler-Lagrange expression is E(L) = p_0 and the
+energy (Jacobi) function is
 
-  J(L) = sum_{r=1}^{n} q{r} * sum_{k=0}^{n-r} (-1)^k D_t^k (dL/dq{r+k}) - L.
+  J(L) = sum_{r=1}^{n} q{r} * p_r - L.
 
 E(L) = 0 identically exactly when L is a total derivative D_t P; such L are
 null Lagrangians and P is their gauge function, recovered here by peeling
@@ -31,19 +33,23 @@ from .jets import total_derivative
 from .poly import P_ONE
 
 
+def _momenta(L: Expr, n: int, low: int) -> list[Expr]:
+    """Ostrogradsky momenta [p_low, ..., p_n] of L, whose jet order is n."""
+    momenta = []
+    p = E_ZERO
+    for r in range(n, low - 1, -1):
+        d = partial(L, Jet(r))
+        p = d if p.is_zero else d - total_derivative(p)
+        momenta.append(p)
+    return momenta[::-1]
+
+
 def euler_lagrange(L: Expr) -> Expr:
     """Euler-Lagrange expression of L; identically 0 iff L is null."""
     n = L.jet_order()
     if n is None:
         return E_ZERO
-    out = E_ZERO
-    for i in range(n + 1):
-        d = partial(L, Jet(i))
-        if d.is_zero:
-            continue
-        term = total_derivative(d, i)
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+    return _momenta(L, n, 0)[0]
 
 
 def jacobi(L: Expr) -> Expr:
@@ -52,22 +58,10 @@ def jacobi(L: Expr) -> Expr:
     if n is None:
         return -L
     out = -L
-    # cache D_t^k(dL/dq{j}); the double sum reuses each derivative chain
-    derivs = {}
-    for j in range(1, n + 1):
-        d = partial(L, Jet(j))
-        derivs[(j, 0)] = d
-        for k in range(1, j):
-            derivs[(j, k)] = total_derivative(derivs[(j, k - 1)])
-    for r in range(1, n + 1):
-        inner = E_ZERO
-        for k in range(0, n - r + 1):
-            term = derivs[(r + k, k)]
-            if term.is_zero:
-                continue
-            inner = inner + (term if k % 2 == 0 else -term)
-        if not inner.is_zero:
-            out = out + jet(r) * inner
+    # J needs no p_0, which would cost one more D_t
+    for r, p in enumerate(_momenta(L, n, 1), start=1):
+        if not p.is_zero:
+            out = out + jet(r) * p
     return out
 
 
@@ -81,7 +75,6 @@ class GaugeResult:
     """Gauge function P with D_t P = L; the additive constant is fixed to 0."""
 
     gauge: Expr
-    residual_constant: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -93,10 +86,6 @@ class TopIsolation:
     remainder: Expr
 
 
-def _contains_at_depth(e: Expr, atom) -> bool:
-    return atom in e.all_atoms()
-
-
 def _integrate(A: Expr, x) -> Expr:
     """Antiderivative of A with respect to the atom x, constant fixed to 0.
 
@@ -105,7 +94,7 @@ def _integrate(A: Expr, x) -> Expr:
     contain x beyond first degree, and no log argument may contain x.
     """
     for a in A.all_atoms():
-        if isinstance(a, LogAtom) and _contains_at_depth(a.arg, x):
+        if isinstance(a, LogAtom) and x in a.arg.all_atoms():
             raise IntegrationUnsupported(
                 f"integrand contains log depending on {a!r}")
     num, den = A.num, A.den
@@ -167,7 +156,7 @@ def extract_gauge(L: Expr) -> GaugeResult:
         if n is None or n == 0:
             break
         A = partial(rem, Jet(n))
-        if _contains_at_depth(A, Jet(n)):
+        if Jet(n) in A.all_atoms():
             raise NonexactTop(
                 f"top-order coefficient still depends on jet order {n}")
         piece = _integrate(A, Jet(n - 1))
@@ -192,9 +181,9 @@ def isolate_top(E: Expr) -> TopIsolation:
         raise NoJet("expression contains no jet variables")
     top = Jet(m)
     C = partial(E, top)
-    if _contains_at_depth(C, top):
+    if top in C.all_atoms():
         raise NonlinearTop(f"expression is not linear in jet order {m}")
     R = E - C * jet(m)
-    if _contains_at_depth(R, top):
+    if top in R.all_atoms():
         raise NonlinearTop(f"expression is not linear in jet order {m}")
     return TopIsolation(order=m, coefficient=C, remainder=R)

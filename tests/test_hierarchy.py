@@ -76,6 +76,8 @@ def test_out_of_range_orders():
         sigma(7)
     with pytest.raises(UnsupportedOrder):
         schippers(2)
+    with pytest.raises(UnsupportedOrder):
+        schippers(-10**5000)
 
 
 def test_builtin_dispatch():

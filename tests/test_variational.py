@@ -20,9 +20,11 @@ from jetvar import (
     isolate_top,
     jacobi,
     l2,
+    schippers,
     sigma,
     total_derivative,
 )
+from jetvar import variational
 
 from conftest import rand_lagrangian, rand_poly
 
@@ -95,6 +97,25 @@ def test_conservation_identity_over_a_linear_denominator():
     # E(L) once swelled for seconds in the pseudo-remainder sequence
     L = (-Q2 ** 2 * Q3 ** 2 - 9 * Q0 * Q2 ** 2 - 7 * Q1 * Q2) / (4 * Q0 + 28)
     assert (total_derivative(jacobi(L)) + Q1 * euler_lagrange(L)).is_zero
+
+
+def test_momentum_chain_applies_dt_once_per_order(monkeypatch):
+    # p_r = dL/dq{r} - D_t p_{r+1}: E(L) takes n applications of D_t and
+    # J(L), which stops at p_1, takes n - 1
+    applied = []
+
+    def counting_dt(e, k=1):
+        applied.append(k)
+        return total_derivative(e, k)
+
+    monkeypatch.setattr(variational, "total_derivative", counting_dt)
+    L = schippers(7)
+    n = L.jet_order()
+    euler_lagrange(L)
+    assert sum(applied) == n
+    applied.clear()
+    jacobi(L)
+    assert sum(applied) == n - 1
 
 
 def test_is_null_verdicts():
