@@ -31,7 +31,7 @@ def _content_and_sign(num: Polynomial, den: Polynomial):
     """Divide num/den by the gcd of all their coefficients, with the sign
     that makes the leading coefficient of den positive (den nonzero)."""
     g = _int_gcd(num.coeff_content(), den.coeff_content())
-    if den.leading()[1] < 0:
+    if den.coeffs[0] < 0:
         g = -g
     if g != 1:
         num, den = num.div_int(g), den.div_int(g)
@@ -46,8 +46,9 @@ class Expr:
     def __init__(self, num: Polynomial, den: Polynomial, _reduced: bool = False):
         if not _reduced:
             num, den = _reduce(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # set through the slots' descriptors, past __setattr__
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr values are immutable")
@@ -135,7 +136,7 @@ class Expr:
             return self._hash
         except AttributeError:
             h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
     def __repr__(self):
@@ -235,6 +236,11 @@ class Expr:
         # num and den are coprime, so powers stay coprime
         return Expr(*_content_and_sign(base.num.pow(k), base.den.pow(k)),
                     _reduced=True)
+
+
+_set_num = Expr.num.__set__
+_set_den = Expr.den.__set__
+_set_hash = Expr._hash.__set__
 
 
 def _reduce(num: Polynomial, den: Polynomial):

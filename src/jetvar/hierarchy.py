@@ -48,17 +48,27 @@ def sigma(n: int) -> Expr:
     return total_derivative(sigma(5))
 
 
-@lru_cache(maxsize=None)
+# S_3, S_4, ... as far as they have been asked for
+_SCHIPPERS: list = []
+
+
 def schippers(n: int) -> Expr:
-    """The recurrence hierarchy S_n of order n >= 3."""
+    """The recurrence hierarchy S_n of order n >= 3.
+
+    The orders are built upward in a loop from the largest one memoised, so
+    a high order costs no Python recursion.
+    """
     if not isinstance(n, int) or n < 3:
         got = decimal_text(n) if isinstance(n, int) else repr(n)
         raise UnsupportedOrder(f"schippers is defined for orders >= 3, got {got}")
-    if n == 3:
-        return sigma(3)
-    prev = schippers(n - 1)
-    m = n - 1
-    return total_derivative(prev) - (m - 1) * pre_schwarzian() * prev
+    if not _SCHIPPERS:
+        _SCHIPPERS.append(sigma(3))
+    while len(_SCHIPPERS) <= n - 3:
+        m = len(_SCHIPPERS) + 2  # the order of the last one
+        prev = _SCHIPPERS[-1]
+        _SCHIPPERS.append(total_derivative(prev)
+                          - (m - 1) * pre_schwarzian() * prev)
+    return _SCHIPPERS[n - 3]
 
 
 _NO_ORDER = {"presch": pre_schwarzian, "L2": l2}

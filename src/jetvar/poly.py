@@ -1,11 +1,45 @@
-"""Sparse multivariate polynomials with integer coefficients.
+"""Sparse multivariate polynomials with integer coefficients, packed.
 
-A monomial is a tuple of (atom, exponent) pairs in ascending atom order with
-strictly positive exponents; the empty tuple is the unit monomial.  A
-polynomial stores its nonzero int coefficients with their monomials, sorted
-in descending degree-lexicographic monomial order, so two polynomials are
-semantically equal iff they are structurally equal.  Rational values live
-one level up, as a numerator and denominator in ``expr.Expr``.
+A polynomial is a layout and its terms.  The layout is the tuple of the
+atoms the polynomial uses, in ascending ``Atom.sort_key`` order, and a field
+width w: the least multiple of 8 with D < 2^(w-1), where D is the total
+degree of the leading term.  Layouts are interned: while one is in use, no
+other layout object has its atom tuple and width.  A monomial x_0^e_0 * ... * x_{n-1}^e_{n-1} of
+total degree d is packed into one int, its key,
+
+    key = d << (n*w)  |  e_{n-1} << ((n-1)*w)  |  ...  |  e_1 << w  |  e_0,
+
+and the terms are two tuples, ``keys`` strictly descending and ``coeffs``
+their nonzero int coefficients.  Since the layout is a function of the
+terms, two polynomials are equal iff they share a layout and their terms.
+Rational values live one level up, as a numerator and denominator in
+``expr.Expr``.
+
+Order.  No exponent exceeds D, so every field holds a value below 2^(w-1),
+and the top field holds the degree.  No field spills into its neighbour, so
+comparing two keys as ints compares their highest differing field: the
+total degree first, then the exponent of the largest atom, then of the next
+one down.  An atom a monomial lacks has exponent 0 there, so where two
+monomials first differ in their (atom, exponent) pairs read from the largest
+atom down, the larger atom or the larger exponent wins in both.  That is the
+graded order, lexicographic from the largest atom down, that the canonical
+text prints its terms in.
+
+Products.  Coded in one layout whose width fits the product's degree, the
+key of a product of two monomials is the sum of their keys: no field
+carries.  A single-term factor adds its key to every term, which keeps the
+order; only a sum of several products needs a sort.
+
+Divisibility.  The top bit of every exponent field is a guard bit, zero in
+every key.  For keys m and d of one layout and G the mask of the guard bits,
+field i of (m | G) - d holds 2^(w-1) + m_i - d_i, a value in [1, 2^w) since
+0 <= m_i, d_i < 2^(w-1).  So no borrow crosses a field boundary, and the
+guard bit of field i survives iff m_i >= d_i: d divides m iff every guard
+bit survives, and then m - d is the key of the quotient.
+
+``terms`` decodes the keys into ((atom, exponent), ...) monomials, for the
+code that walks a monomial atom by atom: the printers, the numeric
+compiler, substitution and the Mobius image.  No arithmetic here reads it.
 
 The gcd is the content-and-primitive-part recursion in the largest atom.
 One image of both primitive parts at a random point modulo a word-size prime
@@ -20,16 +54,18 @@ from __future__ import annotations
 
 import random
 import sys
+import weakref
+from functools import reduce
 from heapq import heappop, heappush
 from math import gcd as _int_gcd
 from math import isqrt
 from operator import index as _as_int
+from operator import neg as _neg
+from operator import or_ as _or
 from typing import Iterable
 
 from .atoms import Atom
 from .errors import DivisionByZero
-
-Mono = tuple  # tuple[tuple[Atom, int], ...], ascending by atom sort key
 
 # str() and int() convert ints of up to this many decimal digits whatever
 # sys.set_int_max_str_digits allows (640)
@@ -57,152 +93,257 @@ def decimal_int(digits: str) -> int:
 
     return int(Decimal(digits))
 
-UNIT_MONO: Mono = ()
+
+# -- layouts ------------------------------------------------------------------
 
 
-def mono_key(mono: Mono):
-    """Degree-lexicographic sort key (larger key = larger monomial)."""
+def _width(deg: int) -> int:
+    """Field width for a leading degree: the least multiple of 8 above its
+    bit length, so that deg < 2^(width-1)."""
+    return (deg.bit_length() + 8) & ~7
+
+
+def _sort_key(a: Atom):
+    return a.sort_key()
+
+
+class _Layout:
+    """Atoms in ascending order, each with a field of the same width."""
+
+    __slots__ = ("atoms", "index", "atom_set", "width", "mask", "dshift",
+                 "guards", "lows", "units", "recoders", "parts", "__weakref__")
+
+    def __init__(self, atoms: tuple, width: int):
+        n = len(atoms)
+        ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)  # 1 in every field
+        self.atoms = atoms
+        self.index = dict(zip(atoms, range(n)))
+        self.atom_set = frozenset(self.index)  # from the stored hashes
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.dshift = n * width  # the degree field
+        self.guards = ones << (width - 1)
+        self.lows = ones * ((1 << (width - 1)) - 1)
+        # keys of the monomials atom^1
+        self.units = tuple([(1 << (i * width)) | (1 << self.dshift) for i in range(n)])
+        self.recoders = {}  # target layout -> _plan
+        self.parts = {}  # (used fields, width) -> layout
+
+
+# There is one live layout per atom tuple and width.  Besides polynomials,
+# the caches of joins, key moves (recoders) and sub-layouts (parts) hold
+# layouts; they are all emptied when the joins reach _MAX_JOINS, so that a
+# computation that meets ever new atoms, like D_t^k of q^(k), runs in bounded
+# memory, while the few hundred layouts of a typical workload stay cached.
+_LAYOUTS = weakref.WeakValueDictionary()
+_JOINS: dict = {}
+_MAX_JOINS = 2048
+
+
+def _layout(atoms: tuple, width: int) -> _Layout:
+    lay = _LAYOUTS.get((atoms, width))
+    if lay is None:
+        lay = _LAYOUTS[atoms, width] = _Layout(atoms, width)
+    return lay
+
+
+def _forget() -> None:
+    _JOINS.clear()
+    for lay in list(_LAYOUTS.values()):
+        lay.recoders.clear()
+        lay.parts.clear()
+
+
+def _join(la: _Layout, lb: _Layout, width: int) -> _Layout:
+    """The layout over the atoms of la and lb, with the given width."""
+    lay = _JOINS.get((la, lb, width))
+    if lay is None:
+        if len(_JOINS) >= _MAX_JOINS:
+            _forget()
+        if la.atom_set >= lb.atom_set:
+            atoms = la.atoms
+        elif lb.atom_set >= la.atom_set:
+            atoms = lb.atoms
+        else:
+            atoms = tuple(sorted(la.atom_set | lb.atom_set, key=_sort_key))
+        lay = _JOINS[la, lb, width] = _layout(atoms, width)
+    return lay
+
+
+def _plan(src: _Layout, dst: _Layout):
+    """How keys move from src to dst: ((lo, new_lo), runs).
+
+    The fields of atoms that sit next to each other in both layouts, with
+    equal widths, move as one run (lo, mask, new_lo); the degree field, with
+    any run that ends just under it in both layouts, moves as (lo, new_lo)."""
+    sw, dw = src.width, dst.width
+    runs = []
+    last = None
+    for i, a in enumerate(src.atoms):
+        j = dst.index.get(a)
+        if j is None:
+            continue  # an atom the keys do not use
+        if sw == dw and last == (i - 1, j - 1):
+            runs[-1][1] += sw
+        else:
+            runs.append([i * sw, sw, j * dw])
+        last = (i, j)
+    top = (src.dshift, dst.dshift)
+    if runs and runs[-1][0] + runs[-1][1] == src.dshift and (
+            runs[-1][2] - runs[-1][0] == dst.dshift - src.dshift):
+        lo, _, new_lo = runs.pop()
+        top = (lo, new_lo)
+    return top, tuple((lo, (1 << bits) - 1, new_lo) for lo, bits, new_lo in runs)
+
+
+def _recode(src: _Layout, dst: _Layout, keys):
+    """keys of src coded in dst; dst has every atom the keys use, and a
+    width that fits their degrees."""
+    if src is dst:
+        return keys
+    plan = src.recoders.get(dst)
+    if plan is None:
+        plan = src.recoders[dst] = _plan(src, dst)
+    (tlo, tnew), runs = plan
+    if not runs:
+        return [(k >> tlo) << tnew for k in keys]
+    if len(runs) == 1:
+        ((lo, m, new),) = runs
+        return [((k >> tlo) << tnew) | (((k >> lo) & m) << new) for k in keys]
+    out = []
+    for k in keys:
+        x = (k >> tlo) << tnew
+        for lo, m, new in runs:
+            x |= ((k >> lo) & m) << new
+        out.append(x)
+    return out
+
+
+def _normal(lay: _Layout, keys, coeffs) -> "Polynomial":
+    """The polynomial with these terms (keys descending in lay, nonzero
+    coefficients) over the layout of exactly the atoms they use."""
+    if not keys:
+        return P_ZERO
+    width = ((keys[0] >> lay.dshift).bit_length() + 8) & ~7  # _width
+    # a field of the OR of the keys is zero iff it is zero in every key; its
+    # guard bit is set after adding lows iff it is not
+    used = (reduce(_or, keys) + lay.lows) & lay.guards
+    if width == lay.width and used == lay.guards:
+        return Polynomial(lay, tuple(keys), tuple(coeffs))
+    dst = lay.parts.get((used, width))
+    if dst is None:
+        w = lay.width
+        atoms = tuple(a for i, a in enumerate(lay.atoms)
+                      if (used >> (i * w + w - 1)) & 1)
+        dst = lay.parts[used, width] = _layout(atoms, width)
+    return Polynomial(dst, tuple(_recode(lay, dst, keys)), tuple(coeffs))
+
+
+def _min_key(lay: _Layout, keys) -> int:
+    """Key of the fieldwise minimum of keys: the gcd of their monomials."""
+    exps = (1 << lay.dshift) - 1
+    g, w, fm = lay.guards, lay.width, lay.mask
+    x = keys[-1] & exps
+    for k in reversed(keys):
+        if not x:
+            return 0
+        y = k & exps
+        # the guard bit of a field survives where x's field is >= y's
+        ge = (((x | g) - y) & g) >> (w - 1)
+        x ^= (x ^ y) & (ge * fm)
     deg = 0
-    parts = []
-    for atom, exp in mono:
-        deg += exp
-        parts.append((atom.sort_key(), exp))
-    parts.reverse()  # most significant atom first
-    return (deg, tuple(parts))
-
-
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a1, e1 = m1[i]
-        a2, e2 = m2[j]
-        k1, k2 = a1.sort_key(), a2.sort_key()
-        if k1 == k2:
-            out.append((a1, e1 + e2))
-            i += 1
-            j += 1
-        elif k1 < k2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
-def mono_pow(m: Mono, k: int) -> Mono:
-    if k == 0:
-        return UNIT_MONO
-    return tuple((a, e * k) for a, e in m)
-
-
-def mono_gcd(m1: Mono, m2: Mono) -> Mono:
-    if not m1 or not m2:
-        return UNIT_MONO
-    d2 = dict(m2)
-    out = []
-    for a, e in m1:
-        e2 = d2.get(a)
-        if e2:
-            out.append((a, min(e, e2)))
-    return tuple(out)
-
-
-def mono_div(m: Mono, d: Mono) -> Mono | None:
-    """m / d, or None when d does not divide m."""
-    if not d:
-        return m
-    dd = dict(m)
-    for a, e in d:
-        have = dd.get(a, 0)
-        if have < e:
-            return None
-        if have == e:
-            del dd[a]
-        else:
-            dd[a] = have - e
-    return tuple(sorted(dd.items(), key=lambda it: it[0].sort_key()))
-
-
-def mono_degree_in(m: Mono, atom: Atom) -> int:
-    for a, e in m:
-        if a == atom:
-            return e
-    return 0
-
-
-def mono_without(m: Mono, atom: Atom) -> Mono:
-    return tuple((a, e) for a, e in m if a != atom)
+    y = x
+    while y:
+        deg += y & fm
+        y >>= w
+    return (deg << lay.dshift) | x
 
 
 class Polynomial:
     """Immutable sparse polynomial with int coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("layout", "keys", "coeffs", "_terms", "_hash")
 
-    def __init__(self, terms: tuple):
-        # terms must be presorted descending with nonzero int coefficients;
-        # use from_dict for untrusted input.  The hash is computed on first
-        # use, since most intermediate polynomials are never hashed.
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, layout: _Layout, keys: tuple, coeffs: tuple):
+        # keys must be strictly descending in layout, the layout of exactly
+        # the atoms they use with the width of the leading degree, and coeffs
+        # nonzero ints.  The hash and the decoded terms are computed on first
+        # use, since most intermediate polynomials need neither.  The slots
+        # are set through their descriptors, past __setattr__.
+        _set_layout(self, layout)
+        _set_keys(self, keys)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial values are immutable")
-
-    @staticmethod
-    def from_dict(d: dict) -> "Polynomial":
-        items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=lambda it: mono_key(it[0]), reverse=True)
-        return Polynomial(tuple(items))
 
     @staticmethod
     def const(c: int) -> "Polynomial":
         c = _as_int(c)
         if c == 0:
             return P_ZERO
-        return Polynomial(((UNIT_MONO, c),))
+        return Polynomial(_CONST, (0,), (c,))
 
     @staticmethod
     def atom(a: Atom) -> "Polynomial":
-        return Polynomial(((((a, 1),), 1),))
+        return Polynomial(_layout((a,), 8), (257,), (1,))  # 1 << 8 | 1
 
-    # -- predicates -------------------------------------------------------
+    # -- predicates and views ---------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     @property
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
+        return not self.layout.atoms
 
     def const_value(self) -> int:
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and not self.terms[0][0]:
-            return self.terms[0][1]
-        raise ValueError("polynomial is not constant")
+        if self.layout.atoms:
+            raise ValueError("polynomial is not constant")
+        return self.coeffs[0] if self.keys else 0
+
+    @property
+    def terms(self) -> tuple:
+        """((monomial, coefficient), ...) in descending order, a monomial
+        being ((atom, exponent), ...) in ascending atom order."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        lay = self.layout
+        atoms, w, m = lay.atoms, lay.width, lay.mask
+        exps = (1 << lay.dshift) - 1
+        out = []
+        for k, c in zip(self.keys, self.coeffs):
+            mono = []
+            x = k & exps
+            i = 0
+            while x:
+                e = x & m
+                if e:
+                    mono.append((atoms[i], e))
+                x >>= w
+                i += 1
+            out.append((tuple(mono), c))
+        terms = tuple(out)
+        _set_terms(self, terms)
+        return terms
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and other.terms == self.terms
+        return (isinstance(other, Polynomial) and other.layout is self.layout
+                and other.keys == self.keys and other.coeffs == self.coeffs)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.terms)
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.keys, self.coeffs))
+            _set_hash(self, h)
             return h
 
     def __repr__(self):
-        if not self.terms:
+        if not self.keys:
             return "Polynomial(0)"
         bits = []
         for m, c in self.terms:
@@ -213,72 +354,96 @@ class Polynomial:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        d = dict(self.terms)
-        for m, c in other.terms:
-            v = d.get(m)
-            if v is None:
-                d[m] = c
-            else:
-                v = v + c
-                if v == 0:
-                    del d[m]
-                else:
-                    d[m] = v
-        return Polynomial.from_dict(d)
-
-    def neg(self) -> "Polynomial":
-        return Polynomial(tuple((m, -c) for m, c in self.terms))
+        return self._plus(other, other.coeffs)
 
     def sub(self, other: "Polynomial") -> "Polynomial":
-        return self.add(other.neg())
+        return self._plus(other, tuple(map(_neg, other.coeffs)))
+
+    def _plus(self, other: "Polynomial", coeffs: tuple) -> "Polynomial":
+        """self + other, where coeffs are other's coefficients or their
+        negatives."""
+        if not other.keys:
+            return self
+        if not self.keys:
+            return Polynomial(other.layout, other.keys, coeffs)
+        la, lb = self.layout, other.layout
+        ka, kb = self.keys, other.keys
+        lay = la
+        if la is not lb:
+            lay = _join(la, lb, _width(max(ka[0] >> la.dshift, kb[0] >> lb.dshift)))
+            ka = _recode(la, lay, ka)
+            kb = _recode(lb, lay, kb)
+        d = dict(zip(ka, self.coeffs))
+        get = d.get
+        cancelled = False
+        for k, c in zip(kb, coeffs):
+            v = get(k)
+            if v is None:
+                d[k] = c
+            else:
+                v += c
+                if v:
+                    d[k] = v
+                else:
+                    del d[k]
+                    cancelled = True
+        keys = sorted(d, reverse=True)
+        coeffs = tuple(map(d.__getitem__, keys))
+        if cancelled:
+            # a cancellation can lower the degree or remove atoms
+            return _normal(lay, keys, coeffs)
+        return Polynomial(lay, tuple(keys), coeffs)
+
+    def neg(self) -> "Polynomial":
+        return Polynomial(self.layout, self.keys, tuple(map(_neg, self.coeffs)))
 
     def scale(self, c: int) -> "Polynomial":
         c = _as_int(c)
-        if c == 0 or self.is_zero:
+        if c == 0 or not self.keys:
             return P_ZERO
         if c == 1:
             return self
-        return Polynomial(tuple((m, k * c) for m, k in self.terms))
+        return Polynomial(self.layout, self.keys, tuple([k * c for k in self.coeffs]))
 
     def div_int(self, c: int) -> "Polynomial":
         """self / c for a nonzero int c that divides every coefficient."""
         if c == 1:
             return self
-        return Polynomial(tuple((m, k // c) for m, k in self.terms))
-
-    def mul_term(self, mono: Mono, coeff: int) -> "Polynomial":
-        if coeff == 0 or self.is_zero:
-            return P_ZERO
-        if not mono:
-            return self.scale(coeff)
-        d = {}
-        for m, c in self.terms:
-            d[mono_mul(m, mono)] = c * coeff
-        return Polynomial.from_dict(d)
+        return Polynomial(self.layout, self.keys, tuple([k // c for k in self.coeffs]))
 
     def mul(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
+        ka, kb = self.keys, other.keys
+        if not ka or not kb:
             return P_ZERO
-        if len(self.terms) == 1:
-            m, c = self.terms[0]
-            return other.mul_term(m, c)
-        if len(other.terms) == 1:
-            m, c = other.terms[0]
-            return self.mul_term(m, c)
+        la, lb = self.layout, other.layout
+        if not lb.atoms:
+            return self.scale(other.coeffs[0])
+        if not la.atoms:
+            return other.scale(self.coeffs[0])
+        width = _width((ka[0] >> la.dshift) + (kb[0] >> lb.dshift))
+        if la is lb and width == la.width:
+            lay = la
+        else:
+            lay = _join(la, lb, width)
+            ka = _recode(la, lay, ka)
+            kb = _recode(lb, lay, kb)
+        ca, cb = self.coeffs, other.coeffs
+        # Over the integers no product loses its leading term or an atom, so
+        # lay stays the product's layout.
+        if len(ka) == 1:
+            ka, ca, kb, cb = kb, cb, ka, ca
+        if len(kb) == 1:
+            k, c = kb[0], cb[0]
+            return Polynomial(lay, tuple([x + k for x in ka]),
+                              tuple([x * c for x in ca]))
         d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                v = d.get(m)
-                if v is None:
-                    d[m] = c1 * c2
-                else:
-                    d[m] = v + c1 * c2
-        return Polynomial.from_dict(d)
+        get = d.get
+        for k1, c1 in zip(ka, ca):
+            for k2, c2 in zip(kb, cb):
+                k = k1 + k2
+                d[k] = get(k, 0) + c1 * c2
+        keys = sorted([k for k, c in d.items() if c], reverse=True)
+        return Polynomial(lay, tuple(keys), tuple(map(d.__getitem__, keys)))
 
     def pow(self, k: int) -> "Polynomial":
         if k < 0:
@@ -298,73 +463,44 @@ class Polynomial:
         """(monomial, coefficient) of the largest term."""
         return self.terms[0]
 
-    def atoms(self) -> set:
-        out = set()
-        for m, _ in self.terms:
-            for a, _e in m:
-                out.add(a)
-        return out
-
-    def has_atom(self, atom: Atom) -> bool:
-        for m, _ in self.terms:
-            for a, _e in m:
-                if a == atom:
-                    return True
-        return False
+    def atoms(self) -> frozenset:
+        return self.layout.atom_set
 
     def degree_in(self, atom: Atom) -> int:
-        deg = 0
-        for m, _ in self.terms:
-            e = mono_degree_in(m, atom)
-            if e > deg:
-                deg = e
-        return deg
+        lay = self.layout
+        i = lay.index.get(atom)
+        if i is None:
+            return 0
+        s, m = i * lay.width, lay.mask
+        return max([(k >> s) & m for k in self.keys])
 
     def coeff_content(self) -> int:
         """gcd of the coefficients, positive (0 for the zero polynomial)."""
-        return _int_gcd(*[c for _, c in self.terms])
-
-    def mono_content(self) -> Mono:
-        """Largest monomial dividing every term."""
-        if self.is_zero:
-            return UNIT_MONO
-        common = self.terms[0][0]
-        for m, _ in self.terms[1:]:
-            if not common:
-                break
-            common = mono_gcd(common, m)
-        return common
-
-    def div_mono(self, mono: Mono) -> "Polynomial":
-        if not mono:
-            return self
-        out = []
-        for m, c in self.terms:
-            q = mono_div(m, mono)
-            if q is None:
-                raise ValueError("monomial does not divide every term")
-            out.append((q, c))
-        return Polynomial(tuple(out))
+        return _int_gcd(*self.coeffs)
 
     def as_univariate(self, atom: Atom) -> list:
         """Dense coefficient list [c0, c1, ...] of Polynomials in atom."""
-        deg = self.degree_in(atom)
-        buckets: list[dict] = [dict() for _ in range(deg + 1)]
-        for m, c in self.terms:
-            e = mono_degree_in(m, atom)
-            buckets[e][mono_without(m, atom)] = c
-        return [Polynomial.from_dict(b) for b in buckets]
+        lay = self.layout
+        i = lay.index.get(atom)
+        if i is None:
+            return [self]
+        s, m, unit = i * lay.width, lay.mask, lay.units[i]
+        exps = [(k >> s) & m for k in self.keys]
+        bkeys = [[] for _ in range(max(exps) + 1)]
+        bcoeffs = [[] for _ in bkeys]
+        for k, c, e in zip(self.keys, self.coeffs, exps):
+            # one amount is taken from every key of a bucket: they stay sorted
+            bkeys[e].append(k - e * unit)
+            bcoeffs[e].append(c)
+        return [_normal(lay, ks, cs) for ks, cs in zip(bkeys, bcoeffs)]
 
     @staticmethod
     def from_univariate(coeffs: Iterable["Polynomial"], atom: Atom) -> "Polynomial":
-        d = {}
-        for e, p in enumerate(coeffs):
-            if p.is_zero:
-                continue
-            xe = ((atom, e),) if e else UNIT_MONO
-            for m, c in p.terms:
-                d[mono_mul(m, xe)] = c
-        return Polynomial.from_dict(d)
+        x = Polynomial.atom(atom)
+        out = P_ZERO
+        for c in reversed(list(coeffs)):
+            out = out.mul(x).add(c)  # Horner
+        return out
 
     def derive(self, field: dict) -> "Polynomial":
         """sum over atoms a of field[a] * d(self)/da.
@@ -372,38 +508,74 @@ class Polynomial:
         field maps atoms to Polynomial coefficients; atoms it omits,
         log atoms included, are held fixed.
         """
+        la = self.layout
+        used = []
+        ydeg = 0
+        for i, a in enumerate(la.atoms):
+            y = field.get(a)
+            if y is not None and y.keys:
+                used.append((i, y))
+                dy = y.keys[0] >> y.layout.dshift
+                if dy > ydeg:
+                    ydeg = dy
+        if not used:
+            return P_ZERO
+        # no term of the result has a degree above self's plus ydeg
+        width = _width((self.keys[0] >> la.dshift) + ydeg)
+        lay = _join(la, _CONST, width)
+        for _, y in used:
+            if y.layout.atoms:
+                lay = _join(lay, y.layout, width)
+        w, m, units = lay.width, lay.mask, lay.units
+        keys = _recode(la, lay, self.keys)
+        coeffs = self.coeffs
         d = {}
-        for m, c in self.terms:
-            for i, (a, e) in enumerate(m):
-                y = field.get(a)
-                if y is None:
-                    continue
-                head, tail = m[:i], m[i + 1:]
-                rest = head + tail if e == 1 else head + ((a, e - 1),) + tail
-                for ym, yc in y.terms:
-                    nm = mono_mul(rest, ym)
-                    d[nm] = d.get(nm, 0) + c * e * yc
-        return Polynomial.from_dict(d)
+        get = d.get
+        for i, y in used:
+            j = i if lay is la else lay.index[la.atoms[i]]
+            s, unit = j * w, units[j]
+            yl = y.layout
+            if len(y.keys) == 1:
+                # d/da of the term c*x^k is c*e*x^(k - unit); times y, whose
+                # one term is yc*x^yk, it is c*e*yc*x^(k + shift)
+                if not yl.atoms:
+                    shift = -unit
+                elif len(yl.atoms) == 1:
+                    b = yl.atoms[0]
+                    shift = (y.keys[0] >> yl.dshift) * units[lay.index[b]] - unit
+                else:
+                    shift = _recode(yl, lay, y.keys)[0] - unit
+                yc = y.coeffs[0]
+                for k, c in zip(keys, coeffs):
+                    e = (k >> s) & m
+                    if e:
+                        k += shift
+                        d[k] = get(k, 0) + c * e * yc
+            else:
+                ys = tuple(zip(_recode(yl, lay, y.keys), y.coeffs))
+                for k, c in zip(keys, coeffs):
+                    e = (k >> s) & m
+                    if e:
+                        base, ce = k - unit, c * e
+                        for yk, yc in ys:
+                            nk = base + yk
+                            d[nk] = get(nk, 0) + ce * yc
+        keys = sorted([k for k, c in d.items() if c], reverse=True)
+        return _normal(lay, keys, map(d.__getitem__, keys))
 
 
-P_ZERO = Polynomial(())
-P_ONE = Polynomial(((UNIT_MONO, 1),))
+_set_layout = Polynomial.layout.__set__
+_set_keys = Polynomial.keys.__set__
+_set_coeffs = Polynomial.coeffs.__set__
+_set_terms = Polynomial._terms.__set__
+_set_hash = Polynomial._hash.__set__
+
+_CONST = _layout((), 8)
+P_ZERO = Polynomial(_CONST, (), ())
+P_ONE = Polynomial(_CONST, (0,), (1,))
 
 
 # -- exact division and gcd ------------------------------------------------
-
-
-class _LargestFirst:
-    """Heap entry for a monomial; the heap pops the largest monomial first."""
-
-    __slots__ = ("key", "mono")
-
-    def __init__(self, mono: Mono):
-        self.key = mono_key(mono)
-        self.mono = mono
-
-    def __lt__(self, other: "_LargestFirst") -> bool:
-        return self.key > other.key
 
 
 def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
@@ -413,41 +585,55 @@ def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
     For a primitive den (integer content 1, as every poly_gcd result is) the
     quotient is integral whenever it exists, by Gauss's lemma.
     """
-    if den.is_zero:
+    if not den.keys:
         raise DivisionByZero("polynomial division by zero")
-    if num.is_zero:
+    if not num.keys:
         return P_ZERO
-    if len(den.terms) == 1:
-        m, c = den.terms[0]
-        if c != 1 and any(k % c for _, k in num.terms):
+    lay, dl = num.layout, den.layout
+    if dl is not lay and (not dl.atom_set <= lay.atom_set or
+                          den.keys[0] >> dl.dshift > num.keys[0] >> lay.dshift):
+        raise ValueError("inexact polynomial division")
+    g = lay.guards
+    lead_c = den.coeffs[0]
+    if len(den.keys) == 1:
+        if lead_c != 1 and any(k % lead_c for k in num.coeffs):
             raise ValueError("inexact polynomial division")
-        return num.div_mono(m).div_int(c)
-    (lead_m, lead_c), tail = den.terms[0], den.terms[1:]
-    # The remainder is a dict with a heap of its monomials.  Each step
-    # cancels the largest one, and every monomial it adds is smaller than
-    # that, so a monomial, once popped, never comes back.
-    rem = dict(num.terms)
-    heap = [_LargestFirst(m) for m, _ in num.terms]  # sorted, hence a heap
-    out = []
+        if dl is _CONST:
+            return num.div_int(lead_c)
+        (lead_k,) = _recode(dl, lay, den.keys)
+        if any(((k | g) - lead_k) & g != g for k in num.keys):
+            raise ValueError("inexact polynomial division")
+        return _normal(lay, [k - lead_k for k in num.keys],
+                       [c // lead_c for c in num.coeffs])
+    dkeys = _recode(dl, lay, den.keys)
+    lead_k = dkeys[0]
+    tail = tuple(zip(dkeys[1:], den.coeffs[1:]))
+    # The remainder is a dict with a heap of its negated keys.  Each step
+    # cancels the largest key, and every key it adds is smaller than that,
+    # so a key, once popped, never comes back.
+    rem = dict(zip(num.keys, num.coeffs))
+    heap = [-k for k in num.keys]  # ascending, hence a heap
+    out_k, out_c = [], []
     while heap:
-        m = heappop(heap).mono
+        m = -heappop(heap)
         c = rem.pop(m)
         if not c:
             continue
-        q = mono_div(m, lead_m)
         coef, r = divmod(c, lead_c)
-        if q is None or r:
+        if r or ((m | g) - lead_k) & g != g:
             raise ValueError("inexact polynomial division")
-        out.append((q, coef))  # q's come out in descending order
-        for dm, dc in tail:
-            nm = mono_mul(q, dm)
-            v = rem.get(nm)
+        q = m - lead_k
+        out_k.append(q)  # q's come out in descending order
+        out_c.append(coef)
+        for dk, dc in tail:
+            nk = q + dk
+            v = rem.get(nk)
             if v is None:
-                rem[nm] = -coef * dc
-                heappush(heap, _LargestFirst(nm))
+                rem[nk] = -coef * dc
+                heappush(heap, -nk)
             else:
-                rem[nm] = v - coef * dc
-    return Polynomial(tuple(out))
+                rem[nk] = v - coef * dc
+    return _normal(lay, out_k, out_c)
 
 
 def _pos_primitive(p: Polynomial) -> Polynomial:
@@ -455,7 +641,7 @@ def _pos_primitive(p: Polynomial) -> Polynomial:
     if p.is_zero:
         return p
     c = p.coeff_content()
-    if p.leading()[1] < 0:
+    if p.coeffs[0] < 0:
         c = -c
     return p.div_int(c)
 
@@ -521,11 +707,20 @@ def _image(coeffs: list, point: dict) -> list:
     """Coefficients in F_p of a coefficient list evaluated at point."""
     out = []
     for c in coeffs:
+        lay = c.layout
+        values = [point[a] for a in lay.atoms]
+        w, m, exps = lay.width, lay.mask, (1 << lay.dshift) - 1
         s = 0
-        for m, k in c.terms:
-            for a, e in m:
-                k = k * pow(point[a], e, _PRIME) % _PRIME
-            s += k
+        for k, v in zip(c.keys, c.coeffs):
+            x = k & exps
+            for pt in values:
+                if not x:
+                    break
+                e = x & m
+                if e:
+                    v = v * pow(pt, e, _PRIME) % _PRIME
+                x >>= w
+            s += v
         out.append(s % _PRIME)
     return out
 
@@ -584,32 +779,41 @@ def _divides(d: Polynomial, p: Polynomial) -> bool:
 
 def _evaluate(p: Polynomial, atom: Atom, v: int) -> Polynomial:
     """p with atom replaced by the integer v."""
+    lay = p.layout
+    i = lay.index.get(atom)
+    if i is None:
+        return p
+    s, m, unit = i * lay.width, lay.mask, lay.units[i]
+    powers = {}
     d = {}
-    for m, c in p.terms:
-        e = mono_degree_in(m, atom)
+    get = d.get
+    for k, c in zip(p.keys, p.coeffs):
+        e = (k >> s) & m
         if e:
-            m = mono_without(m, atom)
-            c *= v ** e
-        d[m] = d.get(m, 0) + c
-    return Polynomial.from_dict(d)
+            k -= e * unit
+            x = powers.get(e)
+            if x is None:
+                x = powers[e] = v ** e
+            c *= x
+        d[k] = get(k, 0) + c
+    keys = sorted([k for k, c in d.items() if c], reverse=True)
+    return _normal(lay, keys, map(d.__getitem__, keys))
 
 
 def _xi_adic(p: Polynomial, atom: Atom, xi: int) -> Polynomial:
     """The polynomial in atom whose coefficients are the balanced base-xi
-    digits of p's coefficients, so that its value at atom = xi is p."""
-    d = {}
+    digits of p's coefficients, so that its value at atom = xi is p; p
+    must be free of atom."""
     half = xi // 2
-    for m, c in p.terms:
-        e = 0
-        while c:
-            r = c % xi
-            if r > half:
-                r -= xi
-            if r:
-                d[mono_mul(m, ((atom, e),)) if e else m] = r
-            c = (c - r) // xi
-            e += 1
-    return Polynomial.from_dict(d)
+    digits = []
+    while not p.is_zero:
+        rs = [c % xi for c in p.coeffs]
+        rs = [r - xi if r > half else r for r in rs]
+        digit = _normal(p.layout, [k for k, r in zip(p.keys, rs) if r],
+                        [r for r in rs if r])
+        digits.append(digit)
+        p = p.sub(digit).div_int(xi)
+    return Polynomial.from_univariate(digits, atom)
 
 
 def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom, k: int):
@@ -622,11 +826,11 @@ def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom, k: int):
     of degree 0 in atom, divides every coefficient of f in atom, so it is
     an integer, and h = G up to sign.
     """
-    fn = max(abs(c) for _, c in f.terms)
-    gn = max(abs(c) for _, c in g.terms)
+    fn = max(map(abs, f.coeffs))
+    gn = max(map(abs, g.coeffs))
     b = 2 * min(fn, gn) + 29
     xi = max(min(b, 99 * isqrt(b)),
-             2 * min(fn // abs(f.leading()[1]), gn // abs(g.leading()[1])) + 4)
+             2 * min(fn // abs(f.coeffs[0]), gn // abs(g.coeffs[0])) + 4)
     for _ in range(6):
         fv = _evaluate(f, atom, xi)
         gv = _evaluate(g, atom, xi)
@@ -641,6 +845,15 @@ def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom, k: int):
     return None
 
 
+def _split_monomial(p: Polynomial):
+    """(key of the largest monomial dividing every term of p, p over it)."""
+    lay = p.layout
+    c = _min_key(lay, p.keys)
+    if not c:
+        return 0, p
+    return c, _normal(lay, [k - c for k in p.keys], p.coeffs)
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Primitive gcd with positive leading coefficient (integer content dropped).
 
@@ -653,20 +866,22 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_const or q.is_const:
         return P_ONE
 
-    mp = p.mono_content()
-    mq = q.mono_content()
-    mg = mono_gcd(mp, mq)
-    p = p.div_mono(mp)
-    q = q.div_mono(mq)
-    base = Polynomial(((mg, 1),)) if mg else P_ONE
+    lp, lq = p.layout, q.layout
+    mp, p = _split_monomial(p)
+    mq, q = _split_monomial(q)
+    base = P_ONE
+    if mp and mq:
+        lay = _join(lp, lq, max(lp.width, lq.width))
+        mg = _min_key(lay, [*_recode(lp, lay, (mp,)), *_recode(lq, lay, (mq,))])
+        if mg:
+            base = _normal(lay, (mg,), (1,))
     if p.is_const or q.is_const:
         return base
 
     if p == q or p == q.neg():
         return base.mul(_pos_primitive(p))
 
-    atoms = p.atoms() | q.atoms()
-    atom = max(atoms, key=lambda a: a.sort_key())
+    atom = max(p.layout.atoms[-1], q.layout.atoms[-1], key=_sort_key)
 
     pu = p.as_univariate(atom)
     qu = q.as_univariate(atom)
@@ -679,8 +894,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         cont_q = poly_gcd(cont_q, c)
     cont = poly_gcd(cont_p, cont_q)
 
-    pp_p = [exact_div(c, cont_p) for c in pu]
-    pp_q = [exact_div(c, cont_q) for c in qu]
+    pp_p = pu if cont_p.is_const else [exact_div(c, cont_p) for c in pu]
+    pp_q = qu if cont_q.is_const else [exact_div(c, cont_q) for c in qu]
     # base and cont are primitive with positive leading coefficients, and so
     # is their product (Gauss's lemma): the early returns need no
     # _pos_primitive.
@@ -690,8 +905,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         # deg G = 0: G is a common factor of the coefficients of the
         # primitive part pp_p, so a constant
         return head
-    f = Polynomial.from_univariate(pp_p, atom)
-    g = Polynomial.from_univariate(pp_q, atom)
+    f = p if cont_p.is_const else Polynomial.from_univariate(pp_p, atom)
+    g = q if cont_q.is_const else Polynomial.from_univariate(pp_q, atom)
     if k == min(len(pp_p), len(pp_q)) - 1:
         # G may be all of the smaller part; it is iff that part divides
         # the larger one

@@ -33,15 +33,14 @@ from .jets import total_derivative
 from .poly import P_ONE
 
 
-def _momenta(L: Expr, n: int, low: int) -> list[Expr]:
-    """Ostrogradsky momenta [p_low, ..., p_n] of L, whose jet order is n."""
-    momenta = []
+def _momenta(L: Expr, n: int, low: int):
+    """Ostrogradsky momenta p_n, p_{n-1}, ..., p_low of L, whose jet order
+    is n, one at a time."""
     p = E_ZERO
     for r in range(n, low - 1, -1):
         d = partial(L, Jet(r))
         p = d if p.is_zero else d - total_derivative(p)
-        momenta.append(p)
-    return momenta[::-1]
+        yield p
 
 
 def euler_lagrange(L: Expr) -> Expr:
@@ -49,7 +48,9 @@ def euler_lagrange(L: Expr) -> Expr:
     n = L.jet_order()
     if n is None:
         return E_ZERO
-    return _momenta(L, n, 0)[0]
+    for p in _momenta(L, n, 0):
+        pass  # only p_0 is kept
+    return p
 
 
 def jacobi(L: Expr) -> Expr:
@@ -59,7 +60,8 @@ def jacobi(L: Expr) -> Expr:
         return -L
     out = -L
     # J needs no p_0, which would cost one more D_t
-    for r, p in enumerate(_momenta(L, n, 1), start=1):
+    momenta = list(_momenta(L, n, 1))
+    for r, p in enumerate(reversed(momenta), start=1):
         if not p.is_zero:
             out = out + jet(r) * p
     return out

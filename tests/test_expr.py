@@ -276,3 +276,117 @@ def test_gcd_degrees_agree_with_sympy(case):
     want = sympy.Poly(sympy.gcd(to_sympy(fh), to_sympy(gh)), *syms.values())
     for a, s in syms.items():
         assert d.degree_in(a) == want.degree(s)
+
+
+# -- term order and field widths -----------------------------------------------
+#
+# The reference order below is built here from Atom.sort_key(), not from the
+# packed keys: total degree first, then (sort_key, exponent) pairs from the
+# largest atom down.  A polynomial rebuilt from its decoded terms through
+# const, atom, pow, mul and add must also be equal to it, which holds only if
+# both routes land on the same layout and field width.
+
+LOG_ATOM = LogAtom(Q0 + 1)
+ORDER_ATOMS = (TIME, Jet(0), Jet(2), Param("a1"), Param("b2"), LOG_ATOM)
+# every field is 8, 16, 24, ... bits wide; these exponents sit at and just
+# across the first boundaries, alone and summed in one monomial
+SMALL_EXPS = (1, 2, 3, 62, 63, 64, 65, 126, 127, 128, 129)
+LARGE_EXPS = SMALL_EXPS + (255, 256, 16383, 16384, 32766, 32767, 32768, 32769)
+
+
+def _reference_key(mono):
+    pairs = [(a.sort_key(), e) for a, e in mono]
+    return sum(e for _, e in mono), tuple(reversed(pairs))
+
+
+def _assert_canonical(p: Polynomial):
+    keys = [_reference_key(m) for m, _ in p.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    for mono, c in p.terms:
+        assert c != 0
+        assert all(e > 0 for _, e in mono)
+        assert [a.sort_key() for a, _ in mono] == sorted(a.sort_key() for a, _ in mono)
+    assert _poly_of([(c, m) for m, c in p.terms]) == p
+
+
+def order_poly_strategy(exps):
+    factor = st.tuples(st.sampled_from(ORDER_ATOMS), st.sampled_from(exps))
+    term = st.tuples(st.integers(-9, 9).filter(bool),
+                     st.lists(factor, max_size=3))
+    return (st.lists(term, min_size=1, max_size=4).map(_poly_of)
+            .filter(lambda p: not p.is_zero))
+
+
+D_FIELD = {TIME: Polynomial.const(1), Jet(0): Polynomial.atom(Jet(1)),
+           Jet(2): Polynomial.atom(Jet(3)), Param("a1"): _num("q*a1 - 3")}
+
+
+@given(order_poly_strategy(LARGE_EXPS), order_poly_strategy(LARGE_EXPS))
+@example(_poly_of([(1, [(Jet(0), 127)]), (2, [(TIME, 1)])]),
+         _poly_of([(1, [(Jet(0), 1)]), (-1, [(Param("a1"), 32767)])]))
+def test_terms_descend_through_sums_products_and_derive(f, g):
+    for p in (f, g, f.add(g), f.sub(g), f.sub(f.add(g)), f.mul(g), f.mul(f),
+              f.derive(D_FIELD), g.derive({Jet(0): f})):
+        _assert_canonical(p)
+    assert exact_div(f.mul(g), g) == f
+
+
+def monomial_strategy(exps):
+    factor = st.tuples(st.sampled_from(ORDER_ATOMS), st.sampled_from(exps))
+    return st.lists(factor, max_size=3).map(lambda fs: _poly_of([(1, fs)]))
+
+
+# The gcd sees exponents of at most 3 beyond a monomial factor, which it
+# splits off first: with exponents near 64 or 128 inside a sum, about one
+# random triple in 1500 keeps poly_gcd busy for seconds (CHANGES.md).
+@given(order_poly_strategy((1, 2, 3)), order_poly_strategy((1, 2, 3)),
+       order_poly_strategy((1, 2, 3)).filter(lambda p: not p.is_const),
+       monomial_strategy(SMALL_EXPS), monomial_strategy(SMALL_EXPS))
+def test_terms_descend_through_quotients_and_gcds(f, g, h, m1, m2):
+    fh, gh = f.mul(h).mul(m1), g.mul(h).mul(m2)
+    d = poly_gcd(fh, gh)
+    for p in (d, exact_div(fh, d), exact_div(gh, d), exact_div(fh, h),
+              exact_div(fh, m1)):
+        _assert_canonical(p)
+    for c in fh.as_univariate(max(fh.atoms(), key=lambda a: a.sort_key())):
+        _assert_canonical(c)
+
+
+def test_exponents_decode_across_width_boundaries():
+    for e in (127, 128, 32767, 32768, 2 ** 23, 2 ** 31, 10 ** 12):
+        p = Polynomial.atom(Jet(0)).pow(e).mul(Polynomial.atom(TIME))
+        assert p.terms == ((((TIME, 1), (Jet(0), e)), 1),)
+        assert p.pow(2).terms == ((((TIME, 2), (Jet(0), 2 * e)), 1),)
+        assert exact_div(p.pow(2), p) == p
+        _assert_canonical(p.add(Polynomial.atom(Param("a1")).pow(e + 1)))
+
+
+def test_exact_div_checks_every_exponent():
+    # q*q' has total degree 2, as q^2 does, but q's exponent is too small
+    with pytest.raises(ValueError):
+        exact_div(_num("q*q'"), _num("q^2"))
+    with pytest.raises(ValueError):
+        exact_div(_num("q^200*q'"), _num("q^100*q'^2"))
+    assert exact_div(_num("q^200*q'^2 + q^130*q'^3"), _num("q^100*q'^2")) == (
+        _num("q^100 + q^30*q'"))
+
+
+# canonical text recorded before monomials were packed into ints
+SIMPLIFIED = {
+    "q^1000000000000*q": "q^1000000000001",
+    "(q+t)^130/(q+t)^129": "q + t",
+}
+# (q+1)^300: its length in bytes and the SHA-256 of its text
+SIMPLIFIED_DIGEST = (21917, "71c54bd01420e8cde1b7cc8a6e86e3773ecbcfbb46d46c9fd63674d412fce4d0")
+
+
+def test_simplify_across_width_boundaries_matches_recorded_text():
+    import hashlib
+
+    from jetvar import render
+
+    for src, text in SIMPLIFIED.items():
+        assert render(parse_expr(src)) == text
+    text = render(parse_expr("(q+1)^300")) + "\n"
+    assert len(text) == SIMPLIFIED_DIGEST[0] + 1
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMPLIFIED_DIGEST[1]

@@ -1,7 +1,11 @@
 """Built-in Lagrangian families and their defining recurrences."""
 
+import inspect
+import sys
+
 import pytest
 
+from jetvar import hierarchy
 from jetvar import (
     Expr,
     Jet,
@@ -37,6 +41,22 @@ def test_schippers_recurrence():
     for n in range(3, 7):
         expect = total_derivative(schippers(n)) - (n - 1) * v * schippers(n)
         assert schippers(n + 1) == expect
+
+
+def test_schippers_builds_orders_in_a_loop():
+    # From an empty memo, with room on the stack for the work of one order
+    # but not for a frame per order: built recursively, schippers(12)
+    # needed 28 frames here, and built in a loop it needs 14.
+    hierarchy._SCHIPPERS.clear()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 24)
+    try:
+        s12 = schippers(12)
+    finally:
+        sys.setrecursionlimit(old)
+    assert s12.jet_order() == 12
+    assert s12 == total_derivative(schippers(11)) - 10 * pre_schwarzian() * schippers(11)
+    assert schippers(12) is s12
 
 
 def test_families_diverge_at_order_four():
