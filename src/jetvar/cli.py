@@ -135,22 +135,21 @@ def _cmd_ode_run(ns) -> int:
               f"{system.order} values", file=sys.stderr)
         return 2
     mon_expr = parse_expr(ns.monitor) if ns.monitor is not None else None
+    failure = None
     try:
         traj = integrate_rk4(system, init, ns.t0, ns.t1, ns.h)
     except NumericSingularity as exc:
-        if exc.trajectory:
-            values = None
-            if mon_expr is not None:
-                values = [v for _, v in monitor(exc.trajectory, mon_expr).samples]
-            for line in _csv_rows(exc.trajectory, values):
-                print(line)
-        print(f"error: {exc}", file=sys.stderr)
+        # the rows reached before the singularity are printed as usual
+        traj, failure = exc.trajectory, exc
+    if traj:
+        values = None
+        if mon_expr is not None:
+            values = [v for _, v in monitor(traj, mon_expr).samples]
+        for line in _csv_rows(traj, values):
+            print(line)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return 3
-    values = None
-    if mon_expr is not None:
-        values = [v for _, v in monitor(traj, mon_expr).samples]
-    for line in _csv_rows(traj, values):
-        print(line)
     return 0
 
 

@@ -14,7 +14,6 @@ and log atoms carry canonical Exprs as arguments so they compare by value.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -415,57 +414,3 @@ def substitute(e: Expr, atom: Atom, value: Expr) -> Expr:
     """Replace one atom by an expression everywhere, including inside logs."""
     return substitute_many(e, {atom: Expr._coerce(value)})
 
-
-# -- tree normalization --------------------------------------------------------
-
-
-_BINARY = {"add": operator.add, "sub": operator.sub,
-           "mul": operator.mul, "div": operator.truediv}
-_UNARY = ("neg", "log", "pow")
-
-
-def _leaf(tree) -> Expr:
-    tag = tree[0]
-    if tag == "int":
-        return const(tree[1])
-    if tag == "rat":
-        return const(Fraction(tree[1], tree[2]))
-    if tag == "atom":
-        return Expr.atom(tree[1])
-    if tag == "expr":
-        return tree[1]
-    raise ValueError(f"unknown expression tree node {tag!r}")
-
-
-def normalize(tree) -> Expr:
-    """Canonical Expr of a nested tuple arithmetic tree.
-
-    Nodes: ("int", n), ("rat", p, q), ("atom", a), ("expr", e),
-    ("neg", x), ("log", x), ("pow", x, k) with integer k, and
-    ("add" | "sub" | "mul" | "div", left, right).  The walk keeps its own
-    stack, so a long chain like q + q + ... + q is no deeper to Python than
-    a short one; left operands are normalized before right ones.
-    """
-    values = []
-    stack = [(tree, False)]
-    while stack:
-        node, operands_done = stack.pop()
-        tag = node[0]
-        if operands_done:
-            x = values.pop()
-            if tag in _BINARY:
-                x = _BINARY[tag](values.pop(), x)
-            elif tag == "neg":
-                x = -x
-            elif tag == "log":
-                x = log(x)
-            else:
-                x = x ** node[2]
-            values.append(x)
-        elif tag in _BINARY:
-            stack += ((node, True), (node[2], False), (node[1], False))
-        elif tag in _UNARY:
-            stack += ((node, True), (node[1], False))
-        else:
-            values.append(_leaf(node))
-    return values[0]

@@ -4,19 +4,26 @@ Atoms: `t`; `q` with prime suffixes (`q'`, `q''`, ...) or an immediately
 adjacent `q^(k)` with a literal integer k (`q^(0)` is `q` itself).  Any
 other identifier is a named parameter, except `log(...)` and the builtin
 calls `sigma(n)`, `schippers(n)`, `presch()`, `L2()`, which expand to their
-expressions at parse time.  Operators `+ - * / ^` are left-associative with
-`^` above unary minus above `* /` above `+ -`; exponents must normalize to
-integer constants.  There is no implicit multiplication.
+expressions.  Operators `+ - * / ^` are left-associative with `^` above
+unary minus above `* /` above `+ -`; exponents must reduce to integer
+constants.  There is no implicit multiplication.
 
 The jet suffix binds only when written without whitespace: `q^(2)` is the
 second jet, while `q ^(2)` and `q^(1+1)` are the square of q.
+
+There is no parse tree: each production returns the canonical Expr of its
+text, and each operator is applied as soon as its right operand is read.
+The whole text is lexed first, so a bad character is reported before any
+arithmetic; after that, errors come in reading order, and a computation
+error (division by zero, a bad log or exponent) in a prefix is raised
+before a syntax error further on.
 """
 
 from __future__ import annotations
 
 from .atoms import TIME, Jet, Param
 from .errors import ParseError, UnsupportedExponent
-from .expr import Expr, normalize
+from .expr import Expr, log
 from .hierarchy import builtin
 from .poly import decimal_int
 
@@ -126,14 +133,14 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.line, tok.col)
         return self.next()
 
-    def parse(self):
-        tree = self.expression(0)
+    def parse(self) -> Expr:
+        e = self.expression(0)
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError("unexpected trailing input", tok.line, tok.col)
-        return tree
+        return e
 
-    def expression(self, min_prec: int):
+    def expression(self, min_prec: int) -> Expr:
         # every parenthesis, log call, unary minus and operator of higher
         # precedence nests one level
         if self.depth == _MAX_DEPTH:
@@ -142,11 +149,11 @@ class _Parser:
                 f"expression nested more than {_MAX_DEPTH} levels deep",
                 tok.line, tok.col)
         self.depth += 1
-        tree = self._operators(min_prec)
+        e = self._operators(min_prec)
         self.depth -= 1
-        return tree
+        return e
 
-    def _operators(self, min_prec: int):
+    def _operators(self, min_prec: int) -> Expr:
         left = self.unary()
         while True:
             tok = self.peek()
@@ -158,25 +165,30 @@ class _Parser:
             op = self.next()
             # all operators associate to the left
             right = self.expression(prec + 1)
-            if op.value == "^":
-                left = ("pow", left, _exponent(right, op))
+            if op.value == "+":
+                left = left + right
+            elif op.value == "-":
+                left = left - right
+            elif op.value == "*":
+                left = left * right
+            elif op.value == "/":
+                left = left / right
             else:
-                tag = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[op.value]
-                left = (tag, left, right)
+                left = left ** _exponent(right, op)
 
-    def unary(self):
+    def unary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.next()
-            return ("neg", self.expression(_UNARY_PREC + 1))
+            return -self.expression(_UNARY_PREC + 1)
         return self.primary()
 
-    def primary(self):
+    def primary(self) -> Expr:
         tok = self.next()
         if tok.kind == "int":
-            return ("int", tok.value)
+            return Expr.const(tok.value)
         if tok.kind == "jet":
-            return ("atom", Jet(tok.value))
+            return Expr.atom(Jet(tok.value))
         if tok.kind == "op" and tok.value == "(":
             inner = self.expression(0)
             self.expect_op(")")
@@ -184,7 +196,7 @@ class _Parser:
         if tok.kind == "name":
             name = tok.value
             if name == "t":
-                return ("atom", TIME)
+                return Expr.atom(TIME)
             nxt = self.peek()
             calls = nxt.kind == "op" and nxt.value == "("
             if name == "log":
@@ -194,7 +206,7 @@ class _Parser:
                 self.next()
                 inner = self.expression(0)
                 self.expect_op(")")
-                return ("log", inner)
+                return log(inner)
             if calls and name in ("sigma", "schippers"):
                 self.next()
                 arg = self.peek()
@@ -203,17 +215,16 @@ class _Parser:
                                      arg.line, arg.col)
                 self.next()
                 self.expect_op(")")
-                return ("expr", builtin(name, arg.value))
+                return builtin(name, arg.value)
             if calls and name in ("presch", "L2"):
                 self.next()
                 self.expect_op(")")
-                return ("expr", builtin(name))
-            return ("atom", Param(name))
+                return builtin(name)
+            return Expr.atom(Param(name))
         raise ParseError("expected an expression", tok.line, tok.col)
 
 
-def _exponent(tree, op_tok: _Token) -> int:
-    e = normalize(tree)
+def _exponent(e: Expr, op_tok: _Token) -> int:
     if e.is_const:
         v = e.const_value()
         if v.denominator == 1:
@@ -222,11 +233,6 @@ def _exponent(tree, op_tok: _Token) -> int:
                               op_tok.line, op_tok.col)
 
 
-def parse(src: str):
-    """Expression tree (nested tuples over atoms) of the source text."""
-    return _Parser(_lex(src)).parse()
-
-
 def parse_expr(src: str) -> Expr:
     """Canonical Expr of the source text."""
-    return normalize(parse(src))
+    return _Parser(_lex(src)).parse()

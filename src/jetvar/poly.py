@@ -42,8 +42,10 @@ code that walks a monomial atom by atom: the printers, the numeric
 compiler, substitution and the Mobius image.  No arithmetic here reads it.
 
 The gcd is the content-and-primitive-part recursion in the largest atom.
-One image of both primitive parts at a random point modulo a word-size prime
-bounds the degree of their gcd.  That settles coprime pairs at once, and
+An operand free of that atom meets the other's coefficients in it one at a
+time, read sparsely, until their gcd is constant.  Otherwise one image of
+both primitive parts at a random point modulo a word-size prime bounds the
+degree of their gcd.  That settles coprime pairs at once, and
 pairs where the smaller part divides the larger by one trial division, which
 covers almost every gcd that jet calculus asks for.  A proper common factor
 is read off the gcd of the two values at a large integer (GCDHEU), and the
@@ -478,21 +480,28 @@ class Polynomial:
         """gcd of the coefficients, positive (0 for the zero polynomial)."""
         return _int_gcd(*self.coeffs)
 
-    def as_univariate(self, atom: Atom) -> list:
-        """Dense coefficient list [c0, c1, ...] of Polynomials in atom."""
+    def coefficients_in(self, atom: Atom) -> dict:
+        """{e: the Polynomial coefficient of atom^e}, over the e that occur."""
         lay = self.layout
         i = lay.index.get(atom)
         if i is None:
-            return [self]
+            return {0: self}
         s, m, unit = i * lay.width, lay.mask, lay.units[i]
-        exps = [(k >> s) & m for k in self.keys]
-        bkeys = [[] for _ in range(max(exps) + 1)]
-        bcoeffs = [[] for _ in bkeys]
-        for k, c, e in zip(self.keys, self.coeffs, exps):
+        buckets = {}
+        for k, c in zip(self.keys, self.coeffs):
+            e = (k >> s) & m
+            b = buckets.get(e)
+            if b is None:
+                b = buckets[e] = ([], [])
             # one amount is taken from every key of a bucket: they stay sorted
-            bkeys[e].append(k - e * unit)
-            bcoeffs[e].append(c)
-        return [_normal(lay, ks, cs) for ks, cs in zip(bkeys, bcoeffs)]
+            b[0].append(k - e * unit)
+            b[1].append(c)
+        return {e: _normal(lay, ks, cs) for e, (ks, cs) in buckets.items()}
+
+    def as_univariate(self, atom: Atom) -> list:
+        """Dense coefficient list [c0, c1, ...] of Polynomials in atom."""
+        coeffs = self.coefficients_in(atom)
+        return [coeffs.get(e, P_ZERO) for e in range(max(coeffs) + 1)]
 
     @staticmethod
     def from_univariate(coeffs: Iterable["Polynomial"], atom: Atom) -> "Polynomial":
@@ -882,6 +891,16 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return base.mul(_pos_primitive(p))
 
     atom = max(p.layout.atoms[-1], q.layout.atoms[-1], key=_sort_key)
+    if atom not in p.layout.index or atom not in q.layout.index:
+        # G divides the operand free of atom and every coefficient of the
+        # other in atom; the coefficients are read sparsely, as the degree
+        # in atom may be huge
+        g, other = (p, q) if atom not in p.layout.index else (q, p)
+        for c in other.coefficients_in(atom).values():
+            g = poly_gcd(g, c)
+            if g.is_const:
+                break
+        return base.mul(g)
 
     pu = p.as_univariate(atom)
     qu = q.as_univariate(atom)

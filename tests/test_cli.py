@@ -179,6 +179,16 @@ def test_ode_run_singularity_prints_partial_rows(capsys):
     assert lines[0] == "t,q0,q1,q2,q3"
     assert len(lines) == 2
     assert "singular" in err or "denominator" in err
+    # a monitor adds its column to the partial rows too
+    code, out, err = run(
+        capsys, "ode-run", "--lagrangian", "L2()", "--init", "0,0,1,0",
+        "--t0", "0", "--t1", "1", "--h", "0.001", "--monitor", "q'")
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,q0,q1,q2,q3,monitored"
+    assert [float(v) for v in lines[1].split(",")] == [0.0] * 3 + [1.0] + [0.0] * 2
+    assert len(lines) == 2
+    assert err.startswith("error: ")
 
 
 def test_ode_run_bad_init(capsys):
@@ -209,6 +219,25 @@ def test_parse_error_exit(capsys):
 def test_computation_error_exit(capsys):
     code, _, err = run(capsys, "simplify", "1/(q - q)")
     assert code == 3
+
+
+@pytest.mark.parametrize("src, want", [
+    ("1/0 )", 3),
+    ("1/(q-q) q", 3),
+    ("q^(1/0) +", 3),
+    ("sigma(9) +", 3),
+    ("(q+1)^2 )", 2),
+    ("log(0", 2),
+    ("1 ? 1/0", 2),
+    (") 1/0", 2),
+])
+def test_errors_come_in_reading_order(capsys, src, want):
+    # the text is lexed first, so a bad character wins; after that the
+    # first error in reading order decides the exit code, whether it is a
+    # computation error (3) or a syntax error (2)
+    code, out, err = run(capsys, "simplify", src)
+    assert (code, out) == (want, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_exits(capsys):

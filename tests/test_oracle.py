@@ -4,23 +4,32 @@ The first oracle is perfbench/oracle.py: it evaluates canonical text exactly
 modulo 2^61 - 1 at one random point, with Taylor-mode D_t and dual-number
 partials, and computes E(L) and J(L) by their defining double sums.  It is
 loaded read-only from its file and imports nothing from jetvar.  It checks
-arithmetic, partial derivatives, D_t^k, prolongation, E(L) and J(L).  The
-second is sympy's euler_equations, run only when sympy is installed.
+arithmetic, partial derivatives, D_t^k, prolongation, E(L), J(L) and the
+Mobius substitution.  The second is sympy's euler_equations, run only when
+sympy is installed.
 """
 
 import importlib.util
+import os
 import random
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import jetvar
 from jetvar import (
+    Expr,
     Jet,
+    Param,
     euler_lagrange,
     jacobi,
     l2,
+    mobius_substitute,
     parse_expr,
+    pre_schwarzian,
     prolong,
     render,
     schippers,
@@ -122,8 +131,9 @@ def _boundary_inputs():
     """Inputs whose total degrees sit at and across the field widths of the
     packed monomials: 8, 16, 24 and 32 bits hold degrees below 2^7, 2^15,
     2^23 and 2^31.  The second value says whether the input may be divided
-    by or into: a gcd builds a dense coefficient list in its main atom, so
-    one in an atom of degree 2^23 needs millions of lists."""
+    by or into: a gcd of two operands that both hold its main atom builds a
+    dense coefficient list in it, so one in an atom of degree 2^23 needs
+    millions of lists."""
     out = []
     for b in (2 ** 7, 2 ** 8):
         out.append((f"ratio@{b}", f"(q^{b - 1}*q' + a1)/(q'^2*t^{b - 2} - 3)",
@@ -174,3 +184,89 @@ def test_derivatives_match_the_oracle(label, x, y, divide, deep_recursion):
     for k in (1, 2, 3):
         assert o.value(render(total_derivative(x, k))) == o.dt(text, k)
     assert o.value(render(prolong(y, x))) == o.prolong(render(y), text)
+
+
+HUGE_X = ("q^2147483646*q' - 3*t*q''^2147483647 + a1^2147483648*q"
+          " + 5*q^2147483649")
+HUGE_Y = "(q^127*q' + a1)/(q'^2*t^126 - 3)"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_product_with_a_huge_degree_in_the_gcd_atom():
+    # Cross-cancelling x*y takes the gcd of x's numerator, of degree 2^31
+    # in a1, with y's denominator, which is free of a1: a gcd that reads
+    # x's coefficients in a1 as a dense list runs out of memory under the
+    # cap, where the sparse one returns at once.
+    src = str(Path(jetvar.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = ("from jetvar import parse_expr, render\n"
+            f"print(render(parse_expr({HUGE_X!r}) * parse_expr({HUGE_Y!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    o = oracle.Oracle("huge product")
+    x, y = render(parse_expr(HUGE_X)), render(parse_expr(HUGE_Y))
+    assert o.value(proc.stdout.strip()) == o.value(x) * o.value(y) % P
+
+
+# -- the Mobius substitution -------------------------------------------------------
+
+
+def _mobius_inputs():
+    rng = random.Random(13)
+    return ([(f"sigma({n})", sigma(n)) for n in range(3, 6)]
+            + [("L2", l2()), ("presch", pre_schwarzian()),
+               ("schippers(5)", schippers(5)),
+               ("sigma(4)+log(q')", sigma(4) + parse_expr("log(q')"))]
+            + [(f"log#{i}", rand_log_expr(rng, 1)) for i in range(6)])
+
+
+def _param(name):
+    return Expr.atom(Param(name))
+
+
+A, B, C, D = (_param(n) for n in "abcd")
+LOG_A1 = parse_expr("log(a1)")
+# (label, (a, b, c, d) as passed, d as the map uses it); a bare parameter d
+# is eliminated through the unit determinant
+MOBIUS_MAPS = [
+    ("integer", (2, 1, 3, 2), 2),
+    ("integer-negative", (1, -3, 0, 1), 1),
+    ("symbolic", (A, B, C, D), (1 + B * C) / A),
+    ("log-parameter", (LOG_A1, B, 2, D), (1 + 2 * B) / LOG_A1),
+]
+MOBIUS_CASES = [(f"{m[0]}:{label}", e, m[1], m[2])
+                for m in MOBIUS_MAPS for label, e in _mobius_inputs()]
+
+
+def _value_with_jets(o, text, jets):
+    """The oracle's value of text with the jet q^(k) set to jets(k)."""
+    point = o._leaf_series(0)
+
+    def leaf(name):
+        if name.startswith("_q"):
+            return [jets(int(name[2:]))]
+        return point(name)
+
+    return o._eval(o._tree(text), oracle._Series(0), leaf)[0]
+
+
+@pytest.mark.parametrize("label,e,abcd,d", MOBIUS_CASES,
+                         ids=[c[0] for c in MOBIUS_CASES])
+def test_mobius_substitute_matches_the_oracle(label, e, abcd, d,
+                                              deep_recursion):
+    # each jet q^(k) of e goes to D_t^k w, with w = (a*q + b)/(c*q + d)
+    # written out as text, so the oracle alone differentiates it
+    a, b, c, d = (render(v if isinstance(v, Expr) else Expr.const(v))
+                  for v in (*abcd[:3], d))
+    w = f"(({a})*q + ({b}))/(({c})*q + ({d}))"
+    o = oracle.Oracle(label)
+    image = render(mobius_substitute(e, *abcd))
+    assert o.value(image) == _value_with_jets(o, render(e),
+                                              lambda k: o.dt(w, k))

@@ -103,7 +103,7 @@ def test_exponent_must_be_integer():
         parse_expr("2^t")
     with pytest.raises(UnsupportedExponent):
         parse_expr("q^q")
-    # but any constant subtree that normalizes to an integer is fine
+    # but any constant subtree that reduces to an integer is fine
     assert parse_expr("q'^(6/2)") == Q1 ** 3
     assert parse_expr("t^(2 - 4)") == 1 / T ** 2
 
