@@ -15,7 +15,7 @@ from .errors import JetvarError, NumericSingularity, ParseError
 from .hierarchy import BUILTIN_NAMES, builtin
 from .jets import total_derivative
 from .numeric import derive_ode, eval_expr, integrate_rk4, monitor
-from .parser import parse_expr
+from .parser import _DIGITS, parse_expr
 from .poly import decimal_text
 from .render import render
 from .sl2 import sl2_residues
@@ -90,7 +90,7 @@ def _atom_for(name: str):
         return TIME
     if name == "q":
         return Jet(0)
-    if name.startswith("q") and name[1:].isdigit():
+    if name.startswith("q") and set(name[1:]) <= _DIGITS:
         return Jet(int(name[1:]))
     return Param(name)
 
@@ -141,6 +141,9 @@ def _cmd_ode_run(ns) -> int:
     except NumericSingularity as exc:
         # the rows reached before the singularity are printed as usual
         traj, failure = exc.trajectory, exc
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if traj:
         values = None
         if mon_expr is not None:

@@ -139,15 +139,21 @@ def derive_ode(L: Expr) -> ODESystem:
 def integrate_rk4(sys: ODESystem, init, t0: float, t1: float, h: float):
     """Classical fixed-step RK4 trajectory of the companion system.
 
-    Returns a list of (t, state) with state = (q0, ..., q{m-1}).  Aborts
+    Returns a list of (t, state) with state = (q0, ..., q{m-1}).  Raises
+    ValueError for a bad time argument or initial state, and aborts
     with NumericSingularity carrying the partial trajectory when the
     top-derivative coefficient falls below the singular guard or a
     denominator vanishes.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
+        raise ValueError("t0, t1 and h must be finite")
     if h <= 0:
         raise ValueError("step size must be positive")
     if t1 <= t0:
         raise ValueError("integration interval is empty")
+    steps = (t1 - t0) / h
+    if not math.isfinite(steps):
+        raise ValueError("the number of steps is not finite")
     m = sys.order
     if len(init) != m:
         raise ValueError(f"initial state must have {m} components")
@@ -164,7 +170,7 @@ def integrate_rk4(sys: ODESystem, init, t0: float, t1: float, h: float):
 
     y = tuple(float(v) for v in init)
     traj = [(t0, y)]
-    steps = max(1, round((t1 - t0) / h))
+    steps = max(1, round(steps))
     h2 = h / 2.0
     try:
         for i in range(steps):

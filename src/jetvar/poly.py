@@ -42,14 +42,16 @@ code that walks a monomial atom by atom: the printers, the numeric
 compiler, substitution and the Mobius image.  No arithmetic here reads it.
 
 The gcd is the content-and-primitive-part recursion in the largest atom.
-An operand free of that atom meets the other's coefficients in it one at a
-time, read sparsely, until their gcd is constant.  Otherwise one image of
-both primitive parts at a random point modulo a word-size prime bounds the
-degree of their gcd.  That settles coprime pairs at once, and
-pairs where the smaller part divides the larger by one trial division, which
-covers almost every gcd that jet calculus asks for.  A proper common factor
-is read off the gcd of the two values at a large integer (GCDHEU), and the
-primitive pseudo-remainder sequence is the last resort.
+A content is the gcd of a polynomial's coefficients in that atom, read
+sparsely in ascending powers until it is constant, and an operand free of
+the atom meets the other's coefficients the same way.  Otherwise one image
+of both primitive parts at a random point modulo a word-size prime bounds
+the degree of their gcd; the image is the one dense list here, one int per
+power.  That settles coprime pairs at once, and pairs where the smaller
+part divides the larger by one trial division, which covers almost every
+gcd that jet calculus asks for.  A proper common factor is read off the gcd
+of the two values at a large integer (GCDHEU), and the primitive
+pseudo-remainder sequence, on Polynomials, is the last resort.
 """
 
 from __future__ import annotations
@@ -547,13 +549,7 @@ class Polynomial:
             if len(y.keys) == 1:
                 # d/da of the term c*x^k is c*e*x^(k - unit); times y, whose
                 # one term is yc*x^yk, it is c*e*yc*x^(k + shift)
-                if not yl.atoms:
-                    shift = -unit
-                elif len(yl.atoms) == 1:
-                    b = yl.atoms[0]
-                    shift = (y.keys[0] >> yl.dshift) * units[lay.index[b]] - unit
-                else:
-                    shift = _recode(yl, lay, y.keys)[0] - unit
+                shift = _recode(yl, lay, y.keys)[0] - unit
                 yc = y.coeffs[0]
                 for k, c in zip(keys, coeffs):
                     e = (k >> s) & m
@@ -655,55 +651,41 @@ def _pos_primitive(p: Polynomial) -> Polynomial:
     return p.div_int(c)
 
 
-def _prs_gcd(f: list, g: list, atom: Atom) -> Polynomial:
-    """Primitive PRS gcd of two primitive univariate polys (coeff lists)."""
+def _content_in(p: Polynomial, atom: Atom, g: Polynomial = P_ZERO) -> Polynomial:
+    """gcd of g and the coefficients of p in atom, read sparsely in ascending
+    powers until it is constant."""
+    coeffs = p.coefficients_in(atom)
+    for e in sorted(coeffs):
+        g = poly_gcd(g, coeffs[e])
+        if g.is_const:
+            break
+    return g
 
-    def degree(u):
-        return len(u) - 1
 
-    def trim(u):
-        while u and u[-1].is_zero:
-            u.pop()
-        return u
+def _primitive_in(p: Polynomial, atom: Atom):
+    """(content of p in atom, primitive part of p in atom)."""
+    cont = _content_in(p, atom)
+    return cont, p if cont.is_const else exact_div(p, cont)
 
-    def is_zero(u):
-        return not u
 
-    def prim(u):
-        # remove the recursive content of the coefficient list
-        cont = P_ZERO
-        for c in u:
-            cont = poly_gcd(cont, c)
-            if cont.is_const and not cont.is_zero:
-                return u
-        return [exact_div(c, cont) for c in u]
-
-    def prem(u, v):
-        # pseudo-remainder of u by v in the main atom
-        u = list(u)
-        dv = degree(v)
-        lv = v[-1]
-        while not is_zero(u) and degree(u) >= dv:
-            du = degree(u)
-            lu = u[-1]
-            shifted = [P_ZERO] * (du - dv) + [c.mul(lu) for c in v]
-            u = [c.mul(lv) for c in u]
-            u = [a.sub(b) for a, b in
-                 zip(u, shifted + [P_ZERO] * (len(u) - len(shifted)))]
-            u = trim(u)
-        return u
-
-    f = trim(list(f))
-    g = trim(list(g))
-    if degree(f) < degree(g):
-        f, g = g, f
+def _prs_gcd(f: Polynomial, g: Polynomial, atom: Atom) -> Polynomial:
+    """Primitive PRS gcd in atom of two polynomials primitive in atom."""
+    x = Polynomial.atom(atom)
+    df, dg = f.degree_in(atom), g.degree_in(atom)
+    if df < dg:
+        f, g, df, dg = g, f, dg, df
     while True:
-        if is_zero(g):
-            return Polynomial.from_univariate(prim(f), atom)
-        if degree(g) == 0:
+        if g.is_zero:
+            return f  # an input or a remainder's primitive part
+        if dg == 0:
             return P_ONE
-        r = prem(f, g)
-        f, g = g, prim(trim(r)) if r else []
+        # pseudo-remainder of f by g
+        lg = g.coefficients_in(atom)[dg]
+        while not f.is_zero and df >= dg:
+            lf = f.coefficients_in(atom)[df]
+            f = f.mul(lg).sub(lf.mul(x.pow(df - dg)).mul(g))
+            df = f.degree_in(atom)
+        f, g, df, dg = g, _primitive_in(f, atom)[1], dg, df
 
 
 # The image certificate evaluates at a point modulo the Mersenne prime
@@ -712,26 +694,28 @@ _PRIME = (1 << 61) - 1
 _POINTS = random.Random(20240617)
 
 
-def _image(coeffs: list, point: dict) -> list:
-    """Coefficients in F_p of a coefficient list evaluated at point."""
-    out = []
-    for c in coeffs:
-        lay = c.layout
-        values = [point[a] for a in lay.atoms]
-        w, m, exps = lay.width, lay.mask, (1 << lay.dshift) - 1
-        s = 0
-        for k, v in zip(c.keys, c.coeffs):
-            x = k & exps
-            for pt in values:
-                if not x:
-                    break
-                e = x & m
-                if e:
-                    v = v * pow(pt, e, _PRIME) % _PRIME
-                x >>= w
-            s += v
-        out.append(s % _PRIME)
-    return out
+def _image(p: Polynomial, atom: Atom, point: dict) -> list:
+    """Coefficients in F_p, lowest first, of p in atom with every other atom
+    evaluated at point."""
+    lay = p.layout
+    w, m = lay.width, lay.mask
+    s = lay.index[atom] * w
+    others = ((1 << lay.dshift) - 1) ^ (m << s)  # the other atoms' fields
+    values = [point.get(a) for a in lay.atoms]
+    out = {}
+    get = out.get
+    for k, v in zip(p.keys, p.coeffs):
+        x = k & others
+        for pt in values:
+            if not x:
+                break
+            ex = x & m
+            if ex:
+                v = v * pow(pt, ex, _PRIME) % _PRIME
+            x >>= w
+        e = (k >> s) & m
+        out[e] = get(e, 0) + v
+    return [get(e, 0) % _PRIME for e in range(max(out) + 1)]
 
 
 def _gcd_degree_mod(f: list, g: list) -> int:
@@ -753,26 +737,24 @@ def _gcd_degree_mod(f: list, g: list) -> int:
     return len(f) - 1
 
 
-def _image_gcd_degree(f: list, g: list, atom: Atom):
+def _image_gcd_degree(f: Polynomial, g: Polynomial, atom: Atom):
     """An upper bound on deg_atom gcd(f, g) from one modular image, or None.
 
-    f and g are coefficient lists in atom of polynomials with integer
-    coefficients, and G = gcd(f, g) is taken primitive, so f/G has integer
-    coefficients too (Gauss's lemma).  Let phi evaluate every other atom at
-    a random point and reduce mod p.  If phi(lc f) != 0, then, as
-    lc f = lc G * lc(f/G), phi(lc G) divides phi(lc f) != 0, so
-    deg phi(G) = deg G.  phi(G) divides both images, hence their gcd in
-    F_p[x], so deg G <= k, that gcd's degree.  The bound holds at every
-    point: an unlucky one only raises k or zeroes a leading coefficient
-    (None), and both send poly_gcd down its slower exact path.  So the
-    point decides how fast poly_gcd answers, never what it answers.
+    f and g contain atom and have integer coefficients, and G = gcd(f, g)
+    is taken primitive, so f/G has integer coefficients too (Gauss's
+    lemma).  Let phi evaluate every other atom at a random point and
+    reduce mod p.  If phi(lc f) != 0, then, as lc f = lc G * lc(f/G),
+    phi(lc G) divides phi(lc f) != 0, so deg phi(G) = deg G.  phi(G)
+    divides both images, hence their gcd in F_p[x], so deg G <= k, that
+    gcd's degree.  The bound holds at every point: an unlucky one only
+    raises k or zeroes a leading coefficient (None), and both send
+    poly_gcd down its slower exact path.  So the point decides how fast
+    poly_gcd answers, never what it answers.
     """
-    atoms = set()
-    for c in f + g:
-        atoms |= c.atoms()
-    point = {a: _POINTS.randrange(1, _PRIME) for a in atoms}
-    fi = _image(f, point)
-    gi = _image(g, point)
+    point = {a: _POINTS.randrange(1, _PRIME)
+             for a in (f.atoms() | g.atoms()) - {atom}}
+    fi = _image(f, atom, point)
+    gi = _image(g, atom, point)
     if not fi[-1] or not gi[-1]:
         return None
     return _gcd_degree_mod(fi, gi)
@@ -893,43 +875,26 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     atom = max(p.layout.atoms[-1], q.layout.atoms[-1], key=_sort_key)
     if atom not in p.layout.index or atom not in q.layout.index:
         # G divides the operand free of atom and every coefficient of the
-        # other in atom; the coefficients are read sparsely, as the degree
-        # in atom may be huge
+        # other in atom
         g, other = (p, q) if atom not in p.layout.index else (q, p)
-        for c in other.coefficients_in(atom).values():
-            g = poly_gcd(g, c)
-            if g.is_const:
-                break
-        return base.mul(g)
+        return base.mul(_content_in(other, atom, g))
 
-    pu = p.as_univariate(atom)
-    qu = q.as_univariate(atom)
-
-    cont_p = P_ZERO
-    for c in pu:
-        cont_p = poly_gcd(cont_p, c)
-    cont_q = P_ZERO
-    for c in qu:
-        cont_q = poly_gcd(cont_q, c)
-    cont = poly_gcd(cont_p, cont_q)
-
-    pp_p = pu if cont_p.is_const else [exact_div(c, cont_p) for c in pu]
-    pp_q = qu if cont_q.is_const else [exact_div(c, cont_q) for c in qu]
-    # base and cont are primitive with positive leading coefficients, and so
-    # is their product (Gauss's lemma): the early returns need no
-    # _pos_primitive.
-    head = base.mul(cont)
-    k = _image_gcd_degree(pp_p, pp_q, atom)
+    cont_p, f = _primitive_in(p, atom)
+    cont_q, g = _primitive_in(q, atom)
+    # base and the contents' gcd are primitive with positive leading
+    # coefficients, and so is their product (Gauss's lemma): the early
+    # returns need no _pos_primitive.
+    head = base.mul(poly_gcd(cont_p, cont_q))
+    k = _image_gcd_degree(f, g, atom)
     if k == 0:
         # deg G = 0: G is a common factor of the coefficients of the
-        # primitive part pp_p, so a constant
+        # primitive part f, so a constant
         return head
-    f = p if cont_p.is_const else Polynomial.from_univariate(pp_p, atom)
-    g = q if cont_q.is_const else Polynomial.from_univariate(pp_q, atom)
-    if k == min(len(pp_p), len(pp_q)) - 1:
+    df, dg = f.degree_in(atom), g.degree_in(atom)
+    if k == min(df, dg):
         # G may be all of the smaller part; it is iff that part divides
         # the larger one
-        small, large = (f, g) if len(pp_p) <= len(pp_q) else (g, f)
+        small, large = (f, g) if df <= dg else (g, f)
         small = _pos_primitive(small)
         if _divides(small, large):
             return head.mul(small)
@@ -939,4 +904,4 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         if h is not None:
             return head.mul(h)
     # an unlucky point, or no luck with xi
-    return _pos_primitive(head.mul(_prs_gcd(pp_p, pp_q, atom)))
+    return _pos_primitive(head.mul(_prs_gcd(f, g, atom)))

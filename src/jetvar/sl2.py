@@ -18,13 +18,13 @@ rejected inside the expression under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 from .atoms import TIME, Jet, LogAtom, Param
 from .errors import ReservedParameter, UnsupportedAtom
 from .expr import Expr, const, jet, log, param
 from .jets import _dt_poly
-from .poly import P_ONE, P_ZERO, Polynomial, exact_div, poly_gcd
+from .poly import P_ZERO, Polynomial, _content_in, exact_div
 
 RESERVED_NAMES = ("a", "b", "c", "d")
 
@@ -80,7 +80,7 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
         nums.append(_dt_poly(nk).mul(U).sub(nk.mul(DU).scale(k + 1)))
     # U = rest * ubase with rest the content of U in q, integer content
     # included; ubase is 1 when U is free of q
-    rest = reduce(poly_gcd, U.as_univariate(Jet(0)), P_ZERO)
+    rest = _content_in(U, Jet(0))
     rest = rest.scale(U.coeff_content())
     ubase = exact_div(U, rest)
 

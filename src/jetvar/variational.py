@@ -28,7 +28,7 @@ from .errors import (
     NonlinearTop,
     NotNull,
 )
-from .expr import E_ZERO, Expr, jet, partial
+from .expr import E_ZERO, Expr, jet, log, partial
 from .jets import total_derivative
 from .poly import P_ONE
 
@@ -106,39 +106,28 @@ def _integrate(A: Expr, x) -> Expr:
             "denominator has degree > 1 in the integration variable")
 
     ncoeffs = [Expr(p, P_ONE) for p in num.as_univariate(x)]
-    xe = Expr.atom(x)
-
+    dcoeffs = [Expr(p, P_ONE) for p in den.as_univariate(x)]
+    alpha = dcoeffs[-1]
     if ddeg == 0:
-        d = Expr(den, P_ONE)
-        out = E_ZERO
-        for i, c in enumerate(ncoeffs):
-            if c.is_zero:
-                continue
-            out = out + (c / d) * Fraction(1, i + 1) * xe ** (i + 1)
-        return out
+        quot, rem = [c / alpha for c in ncoeffs], E_ZERO
+    else:
+        # synthetic division of the numerator by alpha*x + beta
+        beta = dcoeffs[0]
+        p = len(ncoeffs) - 1
+        quot = [E_ZERO] * p
+        for i in range(p, 0, -1):
+            q = ncoeffs[i] / alpha
+            quot[i - 1] = q
+            ncoeffs[i - 1] = ncoeffs[i - 1] - q * beta
+        rem = ncoeffs[0]
 
-    dcoeffs = den.as_univariate(x)
-    beta = Expr(dcoeffs[0], P_ONE)
-    alpha = Expr(dcoeffs[1], P_ONE)
-
-    # synthetic division of the numerator by alpha*x + beta
-    p = len(ncoeffs) - 1
-    quot = [E_ZERO] * max(p, 0)
-    rem = list(ncoeffs)
-    for i in range(p, 0, -1):
-        q = rem[i] / alpha
-        quot[i - 1] = q
-        rem[i - 1] = rem[i - 1] - q * beta
-
+    xe = Expr.atom(x)
     out = E_ZERO
     for i, c in enumerate(quot):
-        if c.is_zero:
-            continue
-        out = out + c * Fraction(1, i + 1) * xe ** (i + 1)
-    if not rem[0].is_zero:
-        from .expr import log
-
-        out = out + (rem[0] / alpha) * log(Expr(den, P_ONE))
+        if not c.is_zero:
+            out = out + c * Fraction(1, i + 1) * xe ** (i + 1)
+    if not rem.is_zero:
+        out = out + (rem / alpha) * log(Expr(den, P_ONE))
     return out
 
 

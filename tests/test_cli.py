@@ -137,6 +137,15 @@ def test_eval(capsys):
     assert "lacks" in err
 
 
+def test_eval_reads_only_ascii_digits_as_jet_orders(capsys):
+    # the parser reads q\u0663 (an Arabic-Indic three) as a parameter, and so
+    # must --at
+    code, out, _ = run(capsys, "eval", "q\u0663 + q", "--at", "q\u0663=2,q=1")
+    assert (code, out.strip()) == (0, "3.0")
+    code, out, _ = run(capsys, "eval", "q\u00b2*q'", "--at", "q\u00b2=2,q1=3")
+    assert (code, out.strip()) == (0, "6.0")
+
+
 def test_eval_missing_atom(capsys):
     code, _, err = run(capsys, "eval", "q''", "--at", "q1=1")
     assert code == 3
@@ -201,6 +210,24 @@ def test_ode_run_bad_init(capsys):
         capsys, "ode-run", "--lagrangian", "L2()", "--init", "0,1,x,0",
         "--t0", "0", "--t1", "1", "--h", "0.1")
     assert code == 2
+
+
+@pytest.mark.parametrize("times", [
+    ("0", "1", "0"),
+    ("0", "1", "-0.1"),
+    ("0", "1", "nan"),
+    ("1", "0", "0.1"),
+    ("0", "inf", "0.1"),
+    ("0", "1e300", "1e-300"),
+], ids=["zero-step", "negative-step", "nan-step", "empty-interval",
+        "infinite-end", "infinite-step-count"])
+def test_ode_run_bad_times(capsys, times):
+    t0, t1, h = times
+    code, out, err = run(
+        capsys, "ode-run", "--lagrangian", "q'^2/2 - q^(0)^2/2",
+        "--init", "0,1", "--t0", t0, "--t1", t1, "--h", h)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_ode_run_null_lagrangian(capsys):

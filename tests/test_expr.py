@@ -250,6 +250,11 @@ SWELLING_CASE = ("-2*q^2*a1^6 + q' - 12",
 
 @given(gcd_cases())
 @example(tuple(_num(src) for src in SWELLING_CASE))
+# both operands have a content in a1, the main atom: t + 1 in both, and
+# q + 1 and t - 1
+@example(tuple(_num(src) for src in ("a1 + 2", "a1 + 3", "(t + 1)*(a1 + q)")))
+@example(tuple(_num(src) for src in ("(q + 1)*(a1 + 1)", "(t - 1)*(a1 - 1)",
+                                     "(q + t)*a1^2 + 1")))
 def test_gcd_of_products_with_a_common_factor(case):
     f, g, h = case
     fh, gh = f.mul(h), g.mul(h)
@@ -259,6 +264,38 @@ def test_gcd_of_products_with_a_common_factor(case):
     assert exact_div(gh, d).mul(d) == gh
     exact_div(d, h.div_int(h.coeff_content()))
     assert d.coeff_content() == 1 and d.leading()[1] > 0
+
+
+def _rand_gcd_poly(rng: random.Random) -> Polynomial:
+    p = P_ZERO
+    while p.is_zero:
+        p = _poly_of([(rng.choice([-3, -2, -1, 1, 2, 3]),
+                       [(rng.choice(GCD_ATOMS), rng.randint(1, 2))
+                        for _ in range(rng.randint(0, 2))])
+                      for _ in range(rng.randint(1, 3))])
+    return p
+
+
+def test_prs_gives_the_gcd_when_every_image_is_unlucky(monkeypatch):
+    # With no degree bound from the image, every gcd that reaches it, the
+    # contents' gcds included, runs the primitive PRS.
+    rng = random.Random(20261019)
+    pairs = []
+    for _ in range(200):
+        f, g, h = (_rand_gcd_poly(rng) for _ in range(3))
+        pairs.append((f.mul(h), g.mul(h)))
+    want = [poly_gcd(fh, gh) for fh, gh in pairs]
+    calls = []
+    prs = poly._prs_gcd
+
+    def counted(f, g, atom):
+        calls.append(atom)
+        return prs(f, g, atom)
+
+    monkeypatch.setattr(poly, "_image_gcd_degree", lambda f, g, atom: None)
+    monkeypatch.setattr(poly, "_prs_gcd", counted)
+    assert [poly_gcd(fh, gh) for fh, gh in pairs] == want
+    assert len(calls) >= 100
 
 
 @given(gcd_cases())
