@@ -212,7 +212,9 @@ class Expr:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero expression")
-        return self.__mul__(Expr(o.den, o.num))
+        # num and den are coprime with content 1: only the sign can change
+        return self.__mul__(
+            Expr(*_content_and_sign(o.den, o.num), _reduced=True))
 
     def __rtruediv__(self, other):
         o = Expr._coerce(other)
@@ -228,13 +230,12 @@ class Expr:
         if k < 0:
             if self.is_zero:
                 raise DivisionByZero("zero raised to a negative power")
-            base = Expr(self.den, self.num)
-            k = -k
+            num, den, k = self.den, self.num, -k
         else:
-            base = self
-        # num and den are coprime, so powers stay coprime
-        return Expr(*_content_and_sign(base.num.pow(k), base.den.pow(k)),
-                    _reduced=True)
+            num, den = self.num, self.den
+        # num and den are coprime, so powers stay coprime; the sign step
+        # makes the leading coefficient of den positive
+        return Expr(*_content_and_sign(num.pow(k), den.pow(k)), _reduced=True)
 
 
 _set_num = Expr.num.__set__

@@ -66,7 +66,6 @@ from math import isqrt
 from operator import index as _as_int
 from operator import neg as _neg
 from operator import or_ as _or
-from typing import Iterable
 
 from .atoms import Atom
 from .errors import DivisionByZero
@@ -209,11 +208,6 @@ def _recode(src: _Layout, dst: _Layout, keys):
     if plan is None:
         plan = src.recoders[dst] = _plan(src, dst)
     (tlo, tnew), runs = plan
-    if not runs:
-        return [(k >> tlo) << tnew for k in keys]
-    if len(runs) == 1:
-        ((lo, m, new),) = runs
-        return [((k >> tlo) << tnew) | (((k >> lo) & m) << new) for k in keys]
     out = []
     for k in keys:
         x = (k >> tlo) << tnew
@@ -500,19 +494,6 @@ class Polynomial:
             b[1].append(c)
         return {e: _normal(lay, ks, cs) for e, (ks, cs) in buckets.items()}
 
-    def as_univariate(self, atom: Atom) -> list:
-        """Dense coefficient list [c0, c1, ...] of Polynomials in atom."""
-        coeffs = self.coefficients_in(atom)
-        return [coeffs.get(e, P_ZERO) for e in range(max(coeffs) + 1)]
-
-    @staticmethod
-    def from_univariate(coeffs: Iterable["Polynomial"], atom: Atom) -> "Polynomial":
-        x = Polynomial.atom(atom)
-        out = P_ZERO
-        for c in reversed(list(coeffs)):
-            out = out.mul(x).add(c)  # Horner
-        return out
-
     def derive(self, field: dict) -> "Polynomial":
         """sum over atoms a of field[a] * d(self)/da.
 
@@ -770,25 +751,10 @@ def _divides(d: Polynomial, p: Polynomial) -> bool:
 
 def _evaluate(p: Polynomial, atom: Atom, v: int) -> Polynomial:
     """p with atom replaced by the integer v."""
-    lay = p.layout
-    i = lay.index.get(atom)
-    if i is None:
-        return p
-    s, m, unit = i * lay.width, lay.mask, lay.units[i]
-    powers = {}
-    d = {}
-    get = d.get
-    for k, c in zip(p.keys, p.coeffs):
-        e = (k >> s) & m
-        if e:
-            k -= e * unit
-            x = powers.get(e)
-            if x is None:
-                x = powers[e] = v ** e
-            c *= x
-        d[k] = get(k, 0) + c
-    keys = sorted([k for k, c in d.items() if c], reverse=True)
-    return _normal(lay, keys, map(d.__getitem__, keys))
+    out = P_ZERO
+    for e, c in p.coefficients_in(atom).items():
+        out = out.add(c.scale(v ** e))
+    return out
 
 
 def _xi_adic(p: Polynomial, atom: Atom, xi: int) -> Polynomial:
@@ -796,15 +762,17 @@ def _xi_adic(p: Polynomial, atom: Atom, xi: int) -> Polynomial:
     digits of p's coefficients, so that its value at atom = xi is p; p
     must be free of atom."""
     half = xi // 2
-    digits = []
+    x = Polynomial.atom(atom)
+    out, power = P_ZERO, P_ONE
     while not p.is_zero:
         rs = [c % xi for c in p.coeffs]
         rs = [r - xi if r > half else r for r in rs]
         digit = _normal(p.layout, [k for k, r in zip(p.keys, rs) if r],
                         [r for r in rs if r])
-        digits.append(digit)
+        out = out.add(digit.mul(power))
+        power = power.mul(x)
         p = p.sub(digit).div_int(xi)
-    return Polynomial.from_univariate(digits, atom)
+    return out
 
 
 def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom, k: int):

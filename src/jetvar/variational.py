@@ -31,6 +31,7 @@ from .errors import (
 from .expr import E_ZERO, Expr, jet, log, partial
 from .jets import total_derivative
 from .poly import P_ONE
+from .render import atom_label
 
 
 def _momenta(L: Expr, n: int, low: int):
@@ -94,38 +95,49 @@ def _integrate(A: Expr, x) -> Expr:
     Supported integrands: polynomial in x, plus a remainder of the form
     r/(linear in x) which integrates to a log atom.  The denominator may not
     contain x beyond first degree, and no log argument may contain x.
+
+    The numerator is divided by its denominator alpha*x^d + beta (d <= 1,
+    beta = 0 when d = 0) from the top power of x down.  Only the powers the
+    numerator has are visited, so a term x^e costs nothing in e, except
+    when d = 1 and beta != 0: then every power below the top one has a
+    quotient term, and the division walks them all.
     """
-    for a in A.all_atoms():
-        if isinstance(a, LogAtom) and x in a.arg.all_atoms():
-            raise IntegrationUnsupported(
-                f"integrand contains log depending on {a!r}")
+    bad = [a for a in A.all_atoms()
+           if isinstance(a, LogAtom) and x in a.arg.all_atoms()]
+    if bad:
+        # the least in atom order, so the message does not depend on hashes
+        a = min(bad, key=LogAtom.sort_key)
+        raise IntegrationUnsupported(
+            f"integrand contains log depending on {atom_label(a)}")
     num, den = A.num, A.den
     ddeg = den.degree_in(x)
     if ddeg > 1:
         raise IntegrationUnsupported(
             "denominator has degree > 1 in the integration variable")
 
-    ncoeffs = [Expr(p, P_ONE) for p in num.as_univariate(x)]
-    dcoeffs = [Expr(p, P_ONE) for p in den.as_univariate(x)]
-    alpha = dcoeffs[-1]
-    if ddeg == 0:
-        quot, rem = [c / alpha for c in ncoeffs], E_ZERO
+    coeffs = {e: Expr(c, P_ONE) for e, c in num.coefficients_in(x).items()}
+    dcoeffs = den.coefficients_in(x)
+    alpha = Expr(dcoeffs[ddeg], P_ONE)
+    beta = Expr(dcoeffs[0], P_ONE) if ddeg and 0 in dcoeffs else None
+    if beta is None:
+        powers = sorted((e for e in coeffs if e >= ddeg), reverse=True)
     else:
-        # synthetic division of the numerator by alpha*x + beta
-        beta = dcoeffs[0]
-        p = len(ncoeffs) - 1
-        quot = [E_ZERO] * p
-        for i in range(p, 0, -1):
-            q = ncoeffs[i] / alpha
-            quot[i - 1] = q
-            ncoeffs[i - 1] = ncoeffs[i - 1] - q * beta
-        rem = ncoeffs[0]
-
+        powers = range(max(coeffs), 0, -1)
     xe = Expr.atom(x)
-    out = E_ZERO
-    for i, c in enumerate(quot):
-        if not c.is_zero:
-            out = out + c * Fraction(1, i + 1) * xe ** (i + 1)
+    terms = []
+    for e in powers:
+        c = coeffs.pop(e, E_ZERO)
+        if c.is_zero:
+            continue
+        q = c / alpha
+        i = e - ddeg + 1  # q*x^(e - ddeg) integrates to q*x^i/i
+        terms.append(q * Fraction(1, i) * xe ** i)
+        if beta is not None:
+            coeffs[e - 1] = coeffs.get(e - 1, E_ZERO) - q * beta
+    # summed from the lowest power up, whose denominators i are the
+    # smallest: the partial sums' common denominators grow slowest
+    out = sum(reversed(terms), E_ZERO)
+    rem = coeffs.get(0, E_ZERO)  # what is left below x^ddeg
     if not rem.is_zero:
         out = out + (rem / alpha) * log(Expr(den, P_ONE))
     return out

@@ -101,6 +101,9 @@ def test_gauge(capsys):
     code, _, err = run(capsys, "gauge", "sigma(3)")
     assert code == 3
     assert "vanish" in err
+    code, _, err = run(capsys, "gauge", "log(q)*q'")
+    assert code == 3
+    assert err.strip() == "error: integrand contains log depending on log(q)"
 
 
 def test_sl2_report(capsys):

@@ -195,24 +195,42 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_capped(code: str) -> str:
+    """stdout of a fresh Python running code against this jetvar, with its
+    address space capped at 1 GiB, which is asserted to exit 0."""
+    src = str(Path(jetvar.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
 def test_product_with_a_huge_degree_in_the_gcd_atom():
     # Cross-cancelling x*y takes the gcd of x's numerator, of degree 2^31
     # in a1, with y's denominator, which is free of a1: a gcd that reads
     # x's coefficients in a1 as a dense list runs out of memory under the
     # cap, where the sparse one returns at once.
-    src = str(Path(jetvar.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
-    code = ("from jetvar import parse_expr, render\n"
-            f"print(render(parse_expr({HUGE_X!r}) * parse_expr({HUGE_Y!r})))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120,
-                          preexec_fn=_cap_address_space)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = _run_capped(
+        "from jetvar import parse_expr, render\n"
+        f"print(render(parse_expr({HUGE_X!r}) * parse_expr({HUGE_Y!r})))")
     o = oracle.Oracle("huge product")
     x, y = render(parse_expr(HUGE_X)), render(parse_expr(HUGE_Y))
-    assert o.value(proc.stdout.strip()) == o.value(x) * o.value(y) % P
+    assert o.value(out.strip()) == o.value(x) * o.value(y) % P
+
+
+@pytest.mark.parametrize("L", ["q^2147483648*q'", "(q^2147483648 + 1)*q'/q"])
+def test_gauge_with_a_huge_degree_in_the_integration_atom(L):
+    # the integrator reads the integrand's coefficients in q sparsely; a
+    # dense list of them, one per power, runs out of memory under the cap
+    out = _run_capped(
+        "from jetvar import extract_gauge, parse_expr, render\n"
+        f"print(render(extract_gauge(parse_expr({L!r})).gauge))")
+    o = oracle.Oracle("huge gauge")
+    assert o.dt(out.strip(), 1) == o.value(render(parse_expr(L)))
 
 
 # -- the Mobius substitution -------------------------------------------------------

@@ -20,6 +20,7 @@ from jetvar import (
     isolate_top,
     jacobi,
     l2,
+    parse_expr,
     schippers,
     sigma,
     total_derivative,
@@ -145,6 +146,26 @@ def test_gauge_with_log():
     g = extract_gauge(L).gauge
     assert g == a1 / a2 * Expr.log(a2 * Q0 + a4)
     assert total_derivative(g) == L
+
+
+@pytest.mark.parametrize("L, gauge", [
+    # the top-order coefficient over alpha
+    ("q^5*q'/a1", "q^6/(6*a1)"),
+    ("(q^9 + 2*q)*q' + q'^2*q''", None),
+    # over alpha*x: a log from the power x^0
+    ("(q^4 + 1)*q'/(a1*q)", "q^4/(4*a1) + log(a1*q)/a1"),
+    ("(q'^4 + a1)*q''/(3*q')", None),
+    # over alpha*x + beta: a quotient term at every power below the top
+    ("q^5*q'/(q + 1)", "q^5/5 - q^4/4 + q^3/3 - q^2/2 + q - log(q + 1)"),
+    ("q'/(a1*q + b2)", None),
+    ("q^3*q'/(2*q - 3)", None),
+])
+def test_gauge_round_trips_over_each_divisor_shape(L, gauge):
+    L = parse_expr(L)
+    g = extract_gauge(L).gauge
+    assert total_derivative(g) == L
+    if gauge is not None:
+        assert g == parse_expr(gauge)
 
 
 def test_gauge_rejects_non_null():
