@@ -6,118 +6,115 @@ named constant parameters, and logs of whole expressions.  Atoms carry a
 fixed total order -- Time < Jet(0) < Jet(1) < ... < Param (by name) < Log
 (by canonical form of the argument) -- which makes every downstream
 canonical form deterministic.
+
+Atoms are interned: while an atom is alive, constructing an equal one
+returns that same object, and copy and pickle return it too.  So equality
+and hashing are object identity, and a dict or set lookup of an atom runs
+no Python code.  Hashes differ from process to process; order by sort_key.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import weakref
 
 
-class TimeAtom:
-    """The independent variable t (singleton; use the module-level TIME)."""
+class _Atom:
+    """An interned, immutable atom; equal atoms are the same object."""
+
+    __slots__ = ("_key", "__weakref__")
+
+    def sort_key(self):
+        return self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError("atoms are immutable")
+
+    def __reduce__(self):
+        # the constructor takes the kind's own slots and returns the live atom
+        return type(self), tuple(getattr(self, s) for s in type(self).__slots__)
+
+
+class TimeAtom(_Atom):
+    """The independent variable t (a singleton: TimeAtom() returns TIME)."""
 
     __slots__ = ()
 
-    def sort_key(self):
-        return (0,)
-
-    def __eq__(self, other):
-        return isinstance(other, TimeAtom)
-
-    def __hash__(self):
-        return hash("jetvar.time")
+    def __new__(cls):
+        return TIME
 
     def __repr__(self):
         return "TIME"
 
 
-TIME = TimeAtom()
+TIME = object.__new__(TimeAtom)
+object.__setattr__(TIME, "_key", (0,))
 
 
-class Jet:
+class Jet(_Atom):
     """The jet variable of the given derivative order (Jet(0) is q itself)."""
 
-    __slots__ = ("order", "_hash")
+    __slots__ = ("order",)
+    _live = weakref.WeakValueDictionary()
 
-    def __init__(self, order: int):
+    def __new__(cls, order: int):
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"jet order must be a nonnegative integer, got {order!r}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_hash", hash(("jetvar.jet", order)))
-
-    def sort_key(self):
-        return (1, self.order)
-
-    def __eq__(self, other):
-        return isinstance(other, Jet) and other.order == self.order
-
-    def __hash__(self):
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet atoms are immutable")
+        atom = cls._live.get(order)
+        if atom is None:
+            atom = cls._live[order] = object.__new__(cls)
+            object.__setattr__(atom, "order", order)
+            object.__setattr__(atom, "_key", (1, order))
+        return atom
 
     def __repr__(self):
         return f"Jet({self.order})"
 
 
-class Param:
+class Param(_Atom):
     """A named constant parameter (time-independent)."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
+    _live = weakref.WeakValueDictionary()
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name or not name[0].isalpha():
             raise ValueError(f"parameter name must start with a letter, got {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("jetvar.param", name)))
-
-    def sort_key(self):
-        return (2, self.name)
-
-    def __eq__(self, other):
-        return isinstance(other, Param) and other.name == self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Param atoms are immutable")
+        atom = cls._live.get(name)
+        if atom is None:
+            atom = cls._live[name] = object.__new__(cls)
+            object.__setattr__(atom, "name", name)
+            object.__setattr__(atom, "_key", (2, name))
+        return atom
 
     def __repr__(self):
         return f"Param({self.name!r})"
 
 
-class LogAtom:
+class LogAtom(_Atom):
     """log of a canonical expression, treated as an independent transcendental.
 
     Two log atoms are the same atom iff their arguments are structurally
     equal canonical expressions; no log identities are applied.
     """
 
-    __slots__ = ("arg", "_key", "_hash")
+    __slots__ = ("arg",)
+    _live = weakref.WeakValueDictionary()
 
-    def __init__(self, arg):
+    def __new__(cls, arg):
         # arg must already be a canonical Expr; constructors in expr.py
         # enforce that it is not a bare constant.
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_key", (3, arg.sort_key()))
-        object.__setattr__(self, "_hash", hash(("jetvar.log", arg)))
-
-    def sort_key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, LogAtom) and other.arg == self.arg
-
-    def __hash__(self):
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Log atoms are immutable")
+        atom = cls._live.get(arg)
+        if atom is None:
+            atom = cls._live[arg] = object.__new__(cls)
+            object.__setattr__(atom, "arg", arg)
+            object.__setattr__(atom, "_key", (3, arg.sort_key()))
+        return atom
 
     def __repr__(self):
         return f"LogAtom({self.arg!r})"
 
 
-Atom = Union[TimeAtom, Jet, Param, LogAtom]
+# Not a typing.Union of the four kinds: typing caches a Union with its
+# classes, and through their intern tables it would keep every Expr that
+# is a log argument, and the modules behind them, alive for good.
+Atom = _Atom

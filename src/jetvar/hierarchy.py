@@ -91,4 +91,4 @@ def builtin(name: str, order: int | None = None) -> Expr:
     raise UnsupportedOrder(f"unknown builtin {name!r}")
 
 
-BUILTIN_NAMES = ("presch", "L2", "sigma", "schippers")
+BUILTIN_NAMES = (*_NO_ORDER, *_WITH_ORDER)

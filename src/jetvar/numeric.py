@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atoms import TIME, Jet, LogAtom
+from .atoms import TIME, Atom, Jet, LogAtom
 from .errors import MissingAtom, NullODE, NumericOverflow, NumericSingularity
 from .expr import Expr
 from .poly import Polynomial
@@ -103,7 +103,7 @@ def _evaluator(e: Expr, atoms):
     missing = sorted(
         (a for a in e.all_atoms()
          if not isinstance(a, LogAtom) and a not in slots),
-        key=lambda a: a.sort_key(),
+        key=Atom.sort_key,
     )
     if missing:
         from .render import atom_label

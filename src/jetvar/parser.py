@@ -21,10 +21,12 @@ before a syntax error further on.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .atoms import TIME, Jet, Param
 from .errors import ParseError, UnsupportedExponent
 from .expr import Expr, log
-from .hierarchy import builtin
+from .hierarchy import _NO_ORDER, _WITH_ORDER
 from .poly import decimal_int
 
 _OPS = set("+-*/^(),")
@@ -37,17 +39,7 @@ _UNARY_PREC = 30
 _MAX_DEPTH = 100
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.value!r})"
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _lex(text: str):
@@ -207,7 +199,7 @@ class _Parser:
                 inner = self.expression(0)
                 self.expect_op(")")
                 return log(inner)
-            if calls and name in ("sigma", "schippers"):
+            if calls and name in _WITH_ORDER:
                 self.next()
                 arg = self.peek()
                 if arg.kind != "int":
@@ -215,11 +207,11 @@ class _Parser:
                                      arg.line, arg.col)
                 self.next()
                 self.expect_op(")")
-                return builtin(name, arg.value)
-            if calls and name in ("presch", "L2"):
+                return _WITH_ORDER[name](arg.value)
+            if calls and name in _NO_ORDER:
                 self.next()
                 self.expect_op(")")
-                return builtin(name)
+                return _NO_ORDER[name]()
             return Expr.atom(Param(name))
         raise ParseError("expected an expression", tok.line, tok.col)
 

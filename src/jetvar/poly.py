@@ -106,10 +106,6 @@ def _width(deg: int) -> int:
     return (deg.bit_length() + 8) & ~7
 
 
-def _sort_key(a: Atom):
-    return a.sort_key()
-
-
 class _Layout:
     """Atoms in ascending order, each with a field of the same width."""
 
@@ -121,7 +117,7 @@ class _Layout:
         ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)  # 1 in every field
         self.atoms = atoms
         self.index = dict(zip(atoms, range(n)))
-        self.atom_set = frozenset(self.index)  # from the stored hashes
+        self.atom_set = frozenset(atoms)
         self.width = width
         self.mask = (1 << width) - 1
         self.dshift = n * width  # the degree field
@@ -168,7 +164,7 @@ def _join(la: _Layout, lb: _Layout, width: int) -> _Layout:
         elif lb.atom_set >= la.atom_set:
             atoms = lb.atoms
         else:
-            atoms = tuple(sorted(la.atom_set | lb.atom_set, key=_sort_key))
+            atoms = tuple(sorted(la.atom_set | lb.atom_set, key=Atom.sort_key))
         lay = _JOINS[la, lb, width] = _layout(atoms, width)
     return lay
 
@@ -840,7 +836,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p == q or p == q.neg():
         return base.mul(_pos_primitive(p))
 
-    atom = max(p.layout.atoms[-1], q.layout.atoms[-1], key=_sort_key)
+    atom = max(p.layout.atoms[-1], q.layout.atoms[-1], key=Atom.sort_key)
     if atom not in p.layout.index or atom not in q.layout.index:
         # G divides the operand free of atom and every coefficient of the
         # other in atom

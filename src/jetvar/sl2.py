@@ -40,10 +40,12 @@ class InvarianceReport:
 
 
 def _check_reserved(e: Expr) -> None:
-    for atom in e.all_atoms():
-        if isinstance(atom, Param) and atom.name in RESERVED_NAMES:
-            raise ReservedParameter(
-                f"parameter name {atom.name!r} is reserved for the group action")
+    names = [a.name for a in e.all_atoms()
+             if isinstance(a, Param) and a.name in RESERVED_NAMES]
+    if names:
+        # the least in atom order, so the message does not depend on hashes
+        raise ReservedParameter(
+            f"parameter name {min(names)!r} is reserved for the group action")
 
 
 def sl2_residues(e: Expr) -> InvarianceReport:

@@ -8,11 +8,14 @@ property tests are built on top of the same envelope.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+import jetvar
 from jetvar import TIME, Expr, Jet, Param
 
 settings.register_profile(
@@ -22,6 +25,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def child_env(**extra: str) -> dict:
+    """Environment for a child Python that imports this jetvar: os.environ
+    with jetvar's source directory first on PYTHONPATH, and extra on top."""
+    src = str(Path(jetvar.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path,
+                **extra)
 
 
 def rand_coeff(rng: random.Random, bound: int = 100) -> Fraction:

@@ -3,17 +3,17 @@
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
 import jetvar
 from jetvar import is_null, render, builtin, sigma, schippers, l2, pre_schwarzian
 from jetvar.cli import run_cli
+
+from conftest import child_env
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -318,12 +318,9 @@ def test_float_overflow_exit(capsys):
 
 
 def test_python_dash_m():
-    src = str(Path(jetvar.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run([sys.executable, "-m", "jetvar", "el", "sigma(3)"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == render(
         jetvar.euler_lagrange(jetvar.sigma(3)))

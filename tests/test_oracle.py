@@ -10,7 +10,6 @@ sympy is installed.
 """
 
 import importlib.util
-import os
 import random
 import resource
 import subprocess
@@ -19,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-import jetvar
 from jetvar import (
     Expr,
     Jet,
@@ -38,7 +36,7 @@ from jetvar import (
 )
 from jetvar.expr import partial
 
-from conftest import rand_lagrangian, rand_log_expr, rand_poly
+from conftest import child_env, rand_lagrangian, rand_log_expr, rand_poly
 
 ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 
@@ -198,12 +196,8 @@ def _cap_address_space():
 def _run_capped(code: str) -> str:
     """stdout of a fresh Python running code against this jetvar, with its
     address space capped at 1 GiB, which is asserted to exit 0."""
-    src = str(Path(jetvar.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120,
+                          text=True, env=child_env(), timeout=120,
                           preexec_fn=_cap_address_space)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
