@@ -138,6 +138,9 @@ class Expr:
             _set_hash(self, h)
             return h
 
+    def __reduce__(self):
+        return Expr, (self.num, self.den, True)
+
     def __repr__(self):
         from .render import render
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 import random
 import sys
 import weakref
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd as _int_gcd
 from math import isqrt
@@ -110,7 +110,7 @@ class _Layout:
     """Atoms in ascending order, each with a field of the same width."""
 
     __slots__ = ("atoms", "index", "atom_set", "width", "mask", "dshift",
-                 "guards", "lows", "units", "recoders", "parts", "__weakref__")
+                 "guards", "lows", "units", "__weakref__")
 
     def __init__(self, atoms: tuple, width: int):
         n = len(atoms)
@@ -125,18 +125,19 @@ class _Layout:
         self.lows = ones * ((1 << (width - 1)) - 1)
         # keys of the monomials atom^1
         self.units = tuple([(1 << (i * width)) | (1 << self.dshift) for i in range(n)])
-        self.recoders = {}  # target layout -> _plan
-        self.parts = {}  # (used fields, width) -> layout
+
+    def __reduce__(self):
+        return _layout, (self.atoms, self.width)
 
 
-# There is one live layout per atom tuple and width.  Besides polynomials,
-# the caches of joins, key moves (recoders) and sub-layouts (parts) hold
-# layouts; they are all emptied when the joins reach _MAX_JOINS, so that a
-# computation that meets ever new atoms, like D_t^k of q^(k), runs in bounded
-# memory, while the few hundred layouts of a typical workload stay cached.
+# _layout interns layouts in the weak _LAYOUTS, as Polynomial.__eq__ compares
+# them by identity; an lru_cache there could evict a layout in use and make a
+# second one.  Joins, key-move plans and sub-layouts are pure functions of
+# layouts, each behind an lru_cache of _CACHE_SIZE entries that keeps the
+# layouts it names alive: bounded, so that a chain meeting ever new atoms, like
+# D_t^k of q^(k), runs in bounded memory, and holds a workload's working set.
 _LAYOUTS = weakref.WeakValueDictionary()
-_JOINS: dict = {}
-_MAX_JOINS = 2048
+_CACHE_SIZE = 4096
 
 
 def _layout(atoms: tuple, width: int) -> _Layout:
@@ -146,29 +147,27 @@ def _layout(atoms: tuple, width: int) -> _Layout:
     return lay
 
 
-def _forget() -> None:
-    _JOINS.clear()
-    for lay in list(_LAYOUTS.values()):
-        lay.recoders.clear()
-        lay.parts.clear()
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def _join(la: _Layout, lb: _Layout, width: int) -> _Layout:
     """The layout over the atoms of la and lb, with the given width."""
-    lay = _JOINS.get((la, lb, width))
-    if lay is None:
-        if len(_JOINS) >= _MAX_JOINS:
-            _forget()
-        if la.atom_set >= lb.atom_set:
-            atoms = la.atoms
-        elif lb.atom_set >= la.atom_set:
-            atoms = lb.atoms
-        else:
-            atoms = tuple(sorted(la.atom_set | lb.atom_set, key=Atom.sort_key))
-        lay = _JOINS[la, lb, width] = _layout(atoms, width)
-    return lay
+    if la.atom_set >= lb.atom_set:
+        atoms = la.atoms
+    elif lb.atom_set >= la.atom_set:
+        atoms = lb.atoms
+    else:
+        atoms = tuple(sorted(la.atom_set | lb.atom_set, key=Atom.sort_key))
+    return _layout(atoms, width)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _part(lay: _Layout, used: int, width: int) -> _Layout:
+    """The layout, of this width, of the atoms of lay whose guards used sets."""
+    w = lay.width
+    return _layout(tuple(a for i, a in enumerate(lay.atoms)
+                         if (used >> (i * w + w - 1)) & 1), width)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _plan(src: _Layout, dst: _Layout):
     """How keys move from src to dst: ((lo, new_lo), runs).
 
@@ -200,10 +199,7 @@ def _recode(src: _Layout, dst: _Layout, keys):
     width that fits their degrees."""
     if src is dst:
         return keys
-    plan = src.recoders.get(dst)
-    if plan is None:
-        plan = src.recoders[dst] = _plan(src, dst)
-    (tlo, tnew), runs = plan
+    (tlo, tnew), runs = _plan(src, dst)
     out = []
     for k in keys:
         x = (k >> tlo) << tnew
@@ -224,12 +220,7 @@ def _normal(lay: _Layout, keys, coeffs) -> "Polynomial":
     used = (reduce(_or, keys) + lay.lows) & lay.guards
     if width == lay.width and used == lay.guards:
         return Polynomial(lay, tuple(keys), tuple(coeffs))
-    dst = lay.parts.get((used, width))
-    if dst is None:
-        w = lay.width
-        atoms = tuple(a for i, a in enumerate(lay.atoms)
-                      if (used >> (i * w + w - 1)) & 1)
-        dst = lay.parts[used, width] = _layout(atoms, width)
+    dst = _part(lay, used, width)
     return Polynomial(dst, tuple(_recode(lay, dst, keys)), tuple(coeffs))
 
 
@@ -332,9 +323,12 @@ class Polynomial:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.keys, self.coeffs))
+            h = hash((self.layout, self.keys, self.coeffs))
             _set_hash(self, h)
             return h
+
+    def __reduce__(self):
+        return Polynomial, (self.layout, self.keys, self.coeffs)
 
     def __repr__(self):
         if not self.keys:

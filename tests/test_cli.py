@@ -104,6 +104,9 @@ def test_gauge(capsys):
     code, _, err = run(capsys, "gauge", "log(q)*q'")
     assert code == 3
     assert err.strip() == "error: integrand contains log depending on log(q)"
+    code, out, err = run(capsys, "gauge", "q'/(q^2 + 1)")
+    assert (code, out) == (3, "")
+    assert err == "error: denominator has degree > 1 in the integration variable\n"
 
 
 def test_sl2_report(capsys):
@@ -201,6 +204,13 @@ def test_ode_run_singularity_prints_partial_rows(capsys):
     assert [float(v) for v in lines[1].split(",")] == [0.0] * 3 + [1.0] + [0.0] * 2
     assert len(lines) == 2
     assert err.startswith("error: ")
+    # the top coefficient of q*q'^2/2 is -q, zero at the initial state
+    code, out, err = run(
+        capsys, "ode-run", "--lagrangian", "q*q'^2/2", "--init", "0,1",
+        "--t0", "0", "--t1", "1", "--h", "0.1")
+    assert code == 3
+    assert out.strip().splitlines() == ["t,q0,q1", "0.0,0.0,1.0"]
+    assert err == "error: top-derivative coefficient within the singular guard\n"
 
 
 def test_ode_run_bad_init(capsys):

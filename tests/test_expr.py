@@ -1,5 +1,7 @@
 """Canonical arithmetic on exact rational jet expressions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from jetvar import (
     Param,
     UnsupportedAtom,
     UnsupportedLogArgument,
+    euler_lagrange,
     parse_expr,
 )
 from jetvar import poly
@@ -57,6 +60,7 @@ def test_int_and_fraction_coercion():
     assert Q1 + 0 == Q1
     assert Q1 / 2 == Fraction(1, 2) * Q1
     assert (Q1 - Q1) == 0
+    assert 1 - Q1 == Expr.const(1) - Q1 != Q1 - 1
     assert Q1 ** 0 == 1
 
 
@@ -79,6 +83,9 @@ def test_log_constructor_rules():
         Expr.log(Expr.const(0))
     with pytest.raises(UnsupportedLogArgument):
         Expr.log(Expr.const(5))
+    with pytest.raises(UnsupportedLogArgument,
+                       match="^log of constant 1/2 has no exact value$"):
+        Expr.log(Expr.const(Fraction(1, 2)))
     lg = Expr.log(Q1)
     assert lg.jet_order() == 1
     assert any(isinstance(a, LogAtom) for a in lg.all_atoms())
@@ -88,6 +95,21 @@ def test_log_argument_canonicalized():
     # log of the same value through different surface forms is one atom
     assert Expr.log(Q1 * Q1 / Q1) == Expr.log(Q1)
     assert Expr.log((Q0 * Q1 + Q1) / (Q0 + 1)) == Expr.log(Q1)
+
+
+def test_hashes_of_one_atom_expressions_differ():
+    # one term with coefficient 1 in every one; only the layouts differ
+    exprs = [parse_expr(src) for src in ("q", "q'", "t", "a1")]
+    assert len({hash(e) for e in exprs}) == 4
+    assert len({hash(e.num) for e in exprs}) == 4
+
+
+def test_copy_and_pickle_keep_value_and_layout():
+    e = parse_expr("sigma(4) + log(q')")
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        c = clone(e)
+        assert c == e
+        assert c.num.layout is e.num.layout
 
 
 def test_partial_basic():
@@ -428,3 +450,14 @@ def test_simplify_across_width_boundaries_matches_recorded_text():
     text = render(parse_expr("(q+1)^300")) + "\n"
     assert len(text) == SIMPLIFIED_DIGEST[0] + 1
     assert hashlib.sha256(text.encode()).hexdigest() == SIMPLIFIED_DIGEST[1]
+
+
+def test_layout_caches_under_eviction():
+    # every D_t step of the chain meets a new jet, so the chain overflows
+    # each cache of layout derivations
+    assert euler_lagrange(parse_expr("q^(5000)^2")) == 2 * Expr.atom(Jet(10000))
+    for cache in (poly._join, poly._plan, poly._part):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+    # layouts stay interned through eviction
+    assert Polynomial.atom(Jet(7)).layout is Polynomial.atom(Jet(7)).layout

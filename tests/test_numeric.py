@@ -108,11 +108,17 @@ def test_rk4_step_validation():
 
 def test_singularity_carries_partial_trajectory():
     system = derive_ode(l2())
-    with pytest.raises(NumericSingularity) as info:
+    with pytest.raises(NumericSingularity, match="denominator evaluated to zero") as info:
         integrate_rk4(system, (0.0, 0.0, 1.0, 0.0), 0.0, 1.0, 1e-3)
     traj = info.value.trajectory
     assert traj is not None and len(traj) == 1
     assert traj[0][0] == 0.0
+    # the top coefficient of q*q'^2/2 is the polynomial -q, zero at q = 0
+    system = derive_ode(Q0 * Q1 ** 2 / 2)
+    with pytest.raises(NumericSingularity,
+                       match="top-derivative coefficient within the singular guard") as info:
+        integrate_rk4(system, (0.0, 1.0), 0.0, 1.0, 1e-3)
+    assert info.value.trajectory == [(0.0, (0.0, 1.0))]
 
 
 def test_monitor_constant_is_exactly_flat():

@@ -173,6 +173,13 @@ def test_gauge_rejects_non_null():
         extract_gauge(l2())
 
 
+def test_gauge_reports_a_denominator_it_cannot_integrate():
+    # D_t(arctan q) is null, but its gauge is not a rational function
+    with pytest.raises(IntegrationUnsupported,
+                       match="denominator has degree > 1 in the integration variable"):
+        extract_gauge(parse_expr("q'/(q^2 + 1)"))
+
+
 def test_gauge_defined_up_to_a_constant():
     # extraction drops any additive constant; shifting L by a total
     # derivative of a constant changes nothing
