@@ -43,15 +43,16 @@ compiler, substitution and the Mobius image.  No arithmetic here reads it.
 
 The gcd is the content-and-primitive-part recursion in the largest atom.
 A content is the gcd of a polynomial's coefficients in that atom, read
-sparsely in ascending powers until it is constant, and an operand free of
+sparsely, fewest terms first, until it is constant, and an operand free of
 the atom meets the other's coefficients the same way.  Otherwise one image
 of both primitive parts at a random point modulo a word-size prime bounds
 the degree of their gcd; the image is the one dense list here, one int per
 power.  That settles coprime pairs at once, and pairs where the smaller
 part divides the larger by one trial division, which covers almost every
-gcd that jet calculus asks for.  A proper common factor is read off the gcd
-of the two values at a large integer (GCDHEU), and the primitive
-pseudo-remainder sequence, on Polynomials, is the last resort.
+gcd that jet calculus asks for.  Every other pair, a proper common factor
+or an unlucky point, goes to GCDHEU: the gcd of the two values at an
+integer xi, read back as a polynomial in the atom, with xi growing until a
+candidate that divides both parts is proved to be their gcd.
 """
 
 from __future__ import annotations
@@ -623,11 +624,10 @@ def _pos_primitive(p: Polynomial) -> Polynomial:
 
 
 def _content_in(p: Polynomial, atom: Atom, g: Polynomial = P_ZERO) -> Polynomial:
-    """gcd of g and the coefficients of p in atom, read sparsely in ascending
-    powers until it is constant."""
-    coeffs = p.coefficients_in(atom)
-    for e in sorted(coeffs):
-        g = poly_gcd(g, coeffs[e])
+    """gcd of g and the coefficients of p in atom, read sparsely until it is
+    constant, fewest terms first: a short one makes the gcd small early."""
+    for c in sorted(p.coefficients_in(atom).values(), key=lambda c: len(c.keys)):
+        g = poly_gcd(g, c)
         if g.is_const:
             break
     return g
@@ -637,26 +637,6 @@ def _primitive_in(p: Polynomial, atom: Atom):
     """(content of p in atom, primitive part of p in atom)."""
     cont = _content_in(p, atom)
     return cont, p if cont.is_const else exact_div(p, cont)
-
-
-def _prs_gcd(f: Polynomial, g: Polynomial, atom: Atom) -> Polynomial:
-    """Primitive PRS gcd in atom of two polynomials primitive in atom."""
-    x = Polynomial.atom(atom)
-    df, dg = f.degree_in(atom), g.degree_in(atom)
-    if df < dg:
-        f, g, df, dg = g, f, dg, df
-    while True:
-        if g.is_zero:
-            return f  # an input or a remainder's primitive part
-        if dg == 0:
-            return P_ONE
-        # pseudo-remainder of f by g
-        lg = g.coefficients_in(atom)[dg]
-        while not f.is_zero and df >= dg:
-            lf = f.coefficients_in(atom)[df]
-            f = f.mul(lg).sub(lf.mul(x.pow(df - dg)).mul(g))
-            df = f.degree_in(atom)
-        f, g, df, dg = g, _primitive_in(f, atom)[1], dg, df
 
 
 # The image certificate evaluates at a point modulo the Mersenne prime
@@ -765,33 +745,47 @@ def _xi_adic(p: Polynomial, atom: Atom, xi: int) -> Polynomial:
     return out
 
 
-def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom, k: int):
-    """The primitive gcd G of f and g read off its value at atom = xi, or
-    None after six values of xi (GCDHEU: Char, Geddes and Gonnet, 1989).
+def _heuristic_gcd(f: Polynomial, g: Polynomial, atom: Atom,
+                   k: int | None) -> Polynomial:
+    """The primitive gcd G of f and g, with a positive leading coefficient,
+    read off its value at atom = xi (GCDHEU: Char, Geddes and Gonnet, 1989).
 
-    k must bound deg_atom G, and the coefficients of f in atom must have no
-    common factor but an integer.  A candidate h is accepted only when it
-    has degree k in atom and divides f and g: then h divides G, and G/h,
-    of degree 0 in atom, divides every coefficient of f in atom, so it is
-    an integer, and h = G up to sign.
+    f and g contain atom and are primitive in it; k bounds deg_atom G, or is
+    None.  G(xi) divides hv = gcd(f(xi), g(xi)), integer content included,
+    whose balanced xi-adic expansion is s*h, h primitive, |s| <= xi/2.  If h
+    divides f and g, then G = h*c with c(xi) dividing s, and c = +-1 if:
+    - deg_atom h == k: c is free of atom and divides every coefficient of f
+      in atom, so it is an integer;
+    - or xi > 2*|f| + 2 in max-norm, say |f| <= |g| (CGG's Theorem 1).  By
+      Cauchy's bound, no nonzero polynomial in Z[atom] that divides one of
+      f's coefficients in the other atoms has a root of modulus 1 + |f| or
+      more, so none vanishes at xi.  c(xi) is an integer, so c's leading
+      coefficient in the other atoms, which divides f's, forces c into
+      Z[atom]; and then a nonconstant c has |c(xi)| > (xi/2)^deg c >= |s|.
+    xi grows until h is certified, which happens: with f = G*u, g = G*v, a
+    common factor of u(xi) and v(xi) divides their resultant in atom, which
+    is nonzero and free of xi.  A prime factor of it that is not an integer
+    divides both for finitely many xi only, as f is primitive in atom, so
+    from some xi on hv = d*G(xi), d an integer dividing the resultant, and
+    once xi > 2*|d*G| the expansion is d*G.
     """
     fn = max(map(abs, f.coeffs))
     gn = max(map(abs, g.coeffs))
-    b = 2 * min(fn, gn) + 29
+    bound = 2 * min(fn, gn) + 2  # past it, the second certificate holds
+    b = bound + 27
     xi = max(min(b, 99 * isqrt(b)),
              2 * min(fn // abs(f.coeffs[0]), gn // abs(g.coeffs[0])) + 4)
-    for _ in range(6):
+    while True:
         fv = _evaluate(f, atom, xi)
         gv = _evaluate(g, atom, xi)
         if not fv.is_zero and not gv.is_zero:
-            # gcd of the two values over the integers; G's value divides it
             hv = poly_gcd(fv, gv).scale(
                 _int_gcd(fv.coeff_content(), gv.coeff_content()))
             h = _pos_primitive(_xi_adic(hv, atom, xi))
-            if h.degree_in(atom) == k and _divides(h, f) and _divides(h, g):
+            if ((xi > bound or h.degree_in(atom) == k)
+                    and _divides(h, f) and _divides(h, g)):
                 return h
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    return None
 
 
 def _split_monomial(p: Polynomial):
@@ -856,10 +850,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         small = _pos_primitive(small)
         if _divides(small, large):
             return head.mul(small)
-    elif k is not None:
-        # deg G <= k, below both degrees: G is a proper factor of both
-        h = _heuristic_gcd(f, g, atom, k)
-        if h is not None:
-            return head.mul(h)
-    # an unlucky point, or no luck with xi
-    return _pos_primitive(head.mul(_prs_gcd(f, g, atom)))
+    # G is a proper factor of both parts, or the point was unlucky (k is
+    # None) and bounds nothing
+    return head.mul(_heuristic_gcd(f, g, atom, k))

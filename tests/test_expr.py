@@ -22,7 +22,7 @@ from jetvar import (
     parse_expr,
 )
 from jetvar import poly
-from jetvar.poly import P_ZERO, Polynomial, exact_div, poly_gcd
+from jetvar.poly import P_ONE, P_ZERO, Polynomial, exact_div, poly_gcd
 
 from conftest import hypo_expr_strategy, rand_poly
 
@@ -298,26 +298,52 @@ def _rand_gcd_poly(rng: random.Random) -> Polynomial:
     return p
 
 
-def test_prs_gives_the_gcd_when_every_image_is_unlucky(monkeypatch):
+# a coprime triple on which the primitive PRS, the gcd's former last resort
+# after an unlucky image, swelled past 20 s
+UNLUCKY_COPRIME_CASE = ("-8*a1^3*b2^4 + 5*q^2*q'*b2 - 9*q*q'^3",
+                        "-t^3*a1^3 - 3*b2^4 + 6*a1*b2^2 + 3*q", "5")
+
+
+def test_gcdheu_gives_the_gcd_when_every_image_is_unlucky(monkeypatch):
     # With no degree bound from the image, every gcd that reaches it, the
-    # contents' gcds included, runs the primitive PRS.
+    # contents' gcds included, runs GCDHEU and is certified by its xi alone.
     rng = random.Random(20261019)
     pairs = []
     for _ in range(200):
         f, g, h = (_rand_gcd_poly(rng) for _ in range(3))
         pairs.append((f.mul(h), g.mul(h)))
+    f, g, h = (_num(src) for src in UNLUCKY_COPRIME_CASE)
+    pairs.append((f.mul(h), g.mul(h)))
     want = [poly_gcd(fh, gh) for fh, gh in pairs]
+    assert want[-1] == P_ONE
     calls = []
-    prs = poly._prs_gcd
+    heuristic = poly._heuristic_gcd
 
-    def counted(f, g, atom):
-        calls.append(atom)
-        return prs(f, g, atom)
+    def counted(f, g, atom, k):
+        calls.append(k)
+        return heuristic(f, g, atom, k)
 
     monkeypatch.setattr(poly, "_image_gcd_degree", lambda f, g, atom: None)
-    monkeypatch.setattr(poly, "_prs_gcd", counted)
+    monkeypatch.setattr(poly, "_heuristic_gcd", counted)
     assert [poly_gcd(fh, gh) for fh, gh in pairs] == want
     assert len(calls) >= 100
+
+
+def test_gcd_of_a_factor_whose_leading_coefficient_every_image_drops(monkeypatch):
+    # G's leading coefficient in a1, the main atom, is a multiple of the
+    # image prime 2^61 - 1, so the images drop it at every point and bound
+    # nothing: GCDHEU alone finds G.  The image is spied on, not patched.
+    G = _num("2305843009213693951*q*a1^2 + t*a1 + 1")
+    degrees = []
+    image_gcd_degree = poly._image_gcd_degree
+
+    def spied(f, g, atom):
+        degrees.append(image_gcd_degree(f, g, atom))
+        return degrees[-1]
+
+    monkeypatch.setattr(poly, "_image_gcd_degree", spied)
+    assert poly_gcd(G.mul(_num("a1 + q")), G.mul(_num("a1 - q + 2"))) == G
+    assert None in degrees
 
 
 @given(gcd_cases())
