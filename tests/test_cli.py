@@ -210,7 +210,8 @@ def test_ode_run_singularity_prints_partial_rows(capsys):
         "--t0", "0", "--t1", "1", "--h", "0.1")
     assert code == 3
     assert out.strip().splitlines() == ["t,q0,q1", "0.0,0.0,1.0"]
-    assert err == "error: top-derivative coefficient within the singular guard\n"
+    assert err == ("error: top-derivative coefficient within the singular guard"
+                   " at step 0 (t = 0.0, value 0.0)\n")
 
 
 def test_ode_run_bad_init(capsys):
@@ -325,6 +326,25 @@ def test_float_overflow_exit(capsys):
         "--t0", "0", "--t1", "1", "--h", "0.1")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "float" in err
+
+
+def test_non_finite_floats_exit(capsys):
+    code, out, err = run(capsys, "eval", "10^300*q^2", "--at", "q=1e10")
+    assert (code, out) == (3, "")
+    assert err == "error: the value at the evaluation point is inf, not a finite float\n"
+    # the rows before the first non-finite state are printed
+    code, out, err = run(
+        capsys, "ode-run", "--lagrangian", "q'^2/2 - 10^300*q^2/2",
+        "--init", "1,0", "--t0", "0", "--t1", "0.3", "--h", "0.1")
+    assert code == 3
+    assert out.strip().splitlines() == ["t,q0,q1", "0.0,1.0,0.0"]
+    assert err == "error: the state is not finite after step 0 (t = 0.1)\n"
+    for init in ("nan,0", "0,inf"):
+        code, out, err = run(
+            capsys, "ode-run", "--lagrangian", "q'^2/2 - q^2/2",
+            "--init", init, "--t0", "0", "--t1", "0.3", "--h", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: initial state must be finite\n"
 
 
 def test_python_dash_m():

@@ -1,6 +1,8 @@
 """Equations of motion as numeric ODE systems, RK4, drift monitoring."""
 
+import hashlib
 import math
+import time
 
 import pytest
 
@@ -19,6 +21,7 @@ from jetvar import (
     jacobi,
     l2,
     monitor,
+    parse_expr,
     sigma,
     total_derivative,
 )
@@ -172,3 +175,76 @@ def test_time_dependent_lagrangian():
     traj = integrate_rk4(system, (0.0, 1.0), 0.0, 6.0, 1e-3)
     t_end, state = traj[-1]
     assert state[0] == pytest.approx(t_end, abs=1e-8)
+
+
+# (Lagrangian, initial state, t0, t1, h); the last run aborts at the
+# singular guard, where its top coefficient t - 1/2 vanishes
+GOLDEN_RUNS = [
+    ("L2()", (0.1, 1.0, 0.9, -0.2), 0.0, 1.0, 1e-3),
+    ("sigma(5)", (0.0, 1.0, 0.2, -0.1, 0.05, 0.0), 0.0, 0.5, 1e-3),
+    ("sigma(3)", (0.0, 1.0, 1.0, 0.0), 0.0, 0.5, 2e-3),
+    ("q'^2/2 - q^2/2 + t*q", (0.0, 1.0), 0.0, 6.0, 1e-2),
+    ("q'^2/2*log(q + 3) - q^4/4", (0.5, 0.2), 0.0, 2.0, 1e-2),
+    ("(t - 1/2)*q'^2/2 - q^2/2", (1.0, 0.0), 0.0, 1.0, 0.125),
+]
+# recorded with the term-by-term interpreter that the generated source
+# replaced; the floats of a trajectory and of its drift must not move
+GOLDEN_SHA256 = "e59bc29c80f86ac220e2f14772ac504891b9e8a6236d60efd79fb3ad5556e687"
+
+
+def test_trajectories_and_drift_match_the_recorded_floats():
+    blob = []
+    for src, init, t0, t1, h in GOLDEN_RUNS:
+        L = parse_expr(src)
+        try:
+            traj = integrate_rk4(derive_ode(L), init, t0, t1, h)
+        except NumericSingularity as exc:
+            assert "singular guard at step 3 (t = 0.5, value 0.0)" in str(exc)
+            traj = exc.trajectory
+        blob += [repr(traj), repr(monitor(traj, jacobi(L)))]
+    digest = hashlib.sha256("\n".join(blob).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256
+
+
+def test_evaluator_size_and_depth():
+    # 4060 terms: one generated statement each, so no compiler recursion
+    e = (Q0 + Q1 + T + 1) ** 27
+    assert len(e.num.terms) >= 4000
+    start = time.perf_counter()
+    v = eval_expr(e, {Jet(0): 0.1, Jet(1): 0.1, TIME: 0.1})
+    assert time.perf_counter() - start < 1.0
+    assert v == pytest.approx(1.3 ** 27, rel=1e-12)
+    # 60 nested logs, each a generated evaluator called from its parent
+    e, want = Q1, 1.0
+    for _ in range(60):
+        e, want = Expr.log(e + 2), math.log(want + 2)
+    start = time.perf_counter()
+    v = eval_expr(e, {Jet(1): 1.0})
+    assert time.perf_counter() - start < 1.0
+    assert v == pytest.approx(want)
+
+
+def test_non_finite_values_are_typed_errors():
+    with pytest.raises(NumericOverflow, match="inf, not a finite float"):
+        eval_expr(Expr.const(10) ** 300 * Q0 ** 2, {Jet(0): 1e10})
+    with pytest.raises(NumericOverflow, match="nan, not a finite float"):
+        eval_expr(Q0 - Q1, {Jet(0): math.inf, Jet(1): math.inf})
+    system = derive_ode(Q1 ** 2 / 2 - Expr.const(10) ** 300 * Q0 ** 2 / 2)
+    with pytest.raises(NumericOverflow,
+                       match=r"not finite after step 0 \(t = 0.1\)") as info:
+        integrate_rk4(system, (1.0, 0.0), 0.0, 0.3, 0.1)
+    assert info.value.trajectory == [(0.0, (1.0, 0.0))]
+    for init in ((math.nan, 0.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            integrate_rk4(system, init, 0.0, 0.3, 0.1)
+    traj = [(0.0, (1.0, 0.0)), (0.5, (1e10, 0.0))]
+    with pytest.raises(NumericOverflow, match="at t = 0.5 is inf"):
+        monitor(traj, Expr.const(10) ** 300 * Q0)
+
+
+def test_order_zero_system_has_empty_states():
+    # the Euler-Lagrange expression of q^2 is 2q: no derivative to follow
+    system = derive_ode(Q0 ** 2)
+    assert system.order == 0
+    assert integrate_rk4(system, (), 0.0, 0.2, 0.1) == [
+        (0.0, ()), (0.1, ()), (0.2, ())]
