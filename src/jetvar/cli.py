@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Each subcommand reads one expression from its positional argument, or from
-stdin when the argument is omitted.  Exit codes: 0 success or affirmative
-verdict, 1 negative verdict, 2 usage or parse error, 3 computation error.
+Each subcommand is named once, in ``_COMMANDS``, with its help text, action
+and arguments.  An action returns an ``Expr``, which ``run_cli`` prints in
+the ``--format`` chosen (only those subcommands take it), or prints its own
+lines and returns the exit code.  Each reads one expression from its
+positional argument, or from stdin when that is omitted.  Exit codes: 0
+success or affirmative verdict, 1 negative verdict, 2 usage or parse error,
+3 computation error.
 """
 
 from __future__ import annotations
@@ -11,129 +15,110 @@ import argparse
 import functools
 import sys
 
+from .atoms import Jet, LogAtom
 from .errors import JetvarError, NumericSingularity, ParseError
+from .expr import Expr
 from .hierarchy import BUILTIN_NAMES, builtin
 from .jets import total_derivative
 from .numeric import derive_ode, eval_expr, integrate_rk4, monitor
 from .parser import _DIGITS, parse_expr
-from .poly import decimal_text
-from .render import render
+from .poly import decimal_int, decimal_text
+from .render import atom_label, render
 from .sl2 import sl2_residues
 from .variational import euler_lagrange, extract_gauge, is_null, jacobi
 
 _FORMATS = {"canonical": "canonical-text", "latex": "latex", "json": "json-ast"}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=sorted(_FORMATS),
-                        default="canonical",
-                        help="output form for expressions")
-
-    p = argparse.ArgumentParser(
-        prog="jetvar",
-        description="exact variational calculus on jet expressions")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def expr_cmd(name: str, help_: str):
-        sp = sub.add_parser(name, parents=[common], help=help_)
-        sp.add_argument("expr", nargs="?",
-                        help="expression source (stdin when omitted)")
-        return sp
-
-    expr_cmd("simplify", "canonical form of an expression")
-    dt = expr_cmd("dt", "total time derivative")
-    dt.add_argument("-k", type=int, default=1, help="derivative order")
-    expr_cmd("el", "Euler-Lagrange expression")
-    expr_cmd("jacobi", "energy function")
-    expr_cmd("null-check", "decide whether a Lagrangian is null")
-    expr_cmd("gauge", "gauge function of a null Lagrangian")
-    expr_cmd("order", "largest jet order present")
-    expr_cmd("sl2", "SL(2,R) invariance residues and verdict")
-
-    bp = sub.add_parser("builtin", parents=[common],
-                        help="expression of a built-in family")
-    bp.add_argument("name", choices=BUILTIN_NAMES)
-    bp.add_argument("order", nargs="?", type=int)
-
-    op = sub.add_parser("ode-run", parents=[common],
-                        help="integrate the dynamics of a Lagrangian")
-    op.add_argument("--lagrangian", required=True)
-    op.add_argument("--init", required=True,
-                    help="comma-separated initial state q0,...,q(m-1)")
-    op.add_argument("--t0", type=float, required=True)
-    op.add_argument("--t1", type=float, required=True)
-    op.add_argument("--h", type=float, required=True)
-    op.add_argument("--monitor", help="expression sampled along the run")
-
-    ep = sub.add_parser("eval", parents=[common],
-                        help="floating-point value at a jet point")
-    ep.add_argument("expr", nargs="?")
-    ep.add_argument("--at", required=True,
-                    help="comma-separated assignments, e.g. q1=1,q2=0.5,t=0")
-
-    return p
+class _UsageError(Exception):
+    """A bad argument value that argparse let through (exit 2)."""
 
 
-def _source(ns) -> str:
-    if ns.expr is not None:
-        return ns.expr
-    return sys.stdin.read()
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FORMAT = _arg("--format", choices=sorted(_FORMATS), default="canonical",
+               help="output form for expressions")
+_EXPR = _arg("expr", nargs="?", help="expression source (stdin when omitted)")
+
+
+def _expr(ns) -> Expr:
+    return parse_expr(ns.expr if ns.expr is not None else sys.stdin.read())
+
+
+def _dt(ns) -> Expr:
+    e = _expr(ns)
+    if ns.k < 1:
+        raise _UsageError("-k must be a positive integer")
+    return total_derivative(e, ns.k)
+
+
+def _null_check(ns) -> int:
+    null = is_null(_expr(ns))
+    print("null" if null else "not-null")
+    return 0 if null else 1
+
+
+def _order(ns) -> int:
+    n = _expr(ns).jet_order()
+    print("none" if n is None else decimal_text(n))
+    return 0
+
+
+def _sl2(ns) -> int:
+    rep = sl2_residues(_expr(ns))
+    mode = _FORMATS[ns.format]
+    print(f"translation: {render(rep.residue_translation, mode)}")
+    print(f"scaling: {render(rep.residue_scaling, mode)}")
+    print(f"special: {render(rep.residue_special, mode)}")
+    print("invariant" if rep.invariant else "not-invariant")
+    return 0 if rep.invariant else 1
 
 
 def _atom_for(name: str):
-    from .atoms import TIME, Jet, Param
+    """The atom an --at name assigns: ``q<k>`` (ASCII digits k) is the k-th
+    jet, and any other name must parse to one atom that is not a log."""
+    if name[:1] == "q" and name[1:] and set(name[1:]) <= _DIGITS:
+        return Jet(decimal_int(name[1:]))
+    try:
+        e = parse_expr(name)
+    except JetvarError:
+        e = None
+    for a in e.atoms() if e is not None else ():
+        if not isinstance(a, LogAtom) and e == Expr.atom(a):
+            return a
+    raise _UsageError(f"--at name {name!r} is not a jet, t or a parameter")
 
-    if name == "t":
-        return TIME
-    if name == "q":
-        return Jet(0)
-    if name.startswith("q") and set(name[1:]) <= _DIGITS:
-        return Jet(int(name[1:]))
-    return Param(name)
 
-
-def _parse_point(assignments: str) -> dict:
+def _eval(ns) -> int:
+    e = _expr(ns)
     point = {}
-    for item in assignments.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, value = item.partition("=")
-        if not _:
-            raise ValueError(f"assignment {item!r} lacks '='")
-        point[_atom_for(name.strip())] = float(value)
-    return point
+    for item in filter(None, map(str.strip, ns.at.split(","))):
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise _UsageError(f"assignment {item!r} lacks '='")
+        atom = _atom_for(name.strip())
+        if atom in point:
+            raise _UsageError(f"--at assigns {atom_label(atom)} twice")
+        try:
+            point[atom] = float(value)
+        except ValueError as exc:
+            raise _UsageError(exc) from None
+    print(repr(eval_expr(e, point)))
+    return 0
 
 
-def _csv_rows(traj, monitored):
-    m = len(traj[0][1])
-    header = ["t"] + [f"q{k}" for k in range(m)]
-    if monitored is not None:
-        header.append("monitored")
-    yield ",".join(header)
-    for i, (t, state) in enumerate(traj):
-        row = [repr(t)] + [repr(v) for v in state]
-        if monitored is not None:
-            row.append(repr(monitored[i]))
-        yield ",".join(row)
-
-
-def _cmd_ode_run(ns) -> int:
-    L = parse_expr(ns.lagrangian)
-    system = derive_ode(L)
+def _ode_run(ns) -> int:
+    system = derive_ode(parse_expr(ns.lagrangian))
     try:
         init = tuple(float(v) for v in ns.init.split(","))
     except ValueError:
-        print(f"error: --init must be comma-separated floats, got {ns.init!r}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--init must be comma-separated floats, "
+                          f"got {ns.init!r}") from None
     if len(init) != system.order:
-        print(f"error: dynamics has order {system.order}; --init needs "
-              f"{system.order} values", file=sys.stderr)
-        return 2
+        raise _UsageError(f"dynamics has order {system.order}; --init needs "
+                          f"{system.order} values")
     mon_expr = parse_expr(ns.monitor) if ns.monitor is not None else None
     failure = None
     try:
@@ -142,86 +127,86 @@ def _cmd_ode_run(ns) -> int:
         # the rows reached before the singularity are printed as usual
         traj, failure = exc.trajectory, exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     if traj:
-        values = None
+        header = ["t"] + [f"q{k}" for k in range(system.order)]
+        rows = [(t, *state) for t, state in traj]
         if mon_expr is not None:
-            values = [v for _, v in monitor(traj, mon_expr).samples]
-        for line in _csv_rows(traj, values):
-            print(line)
+            header.append("monitored")
+            samples = monitor(traj, mon_expr).samples
+            rows = [(*row, v) for row, (_, v) in zip(rows, samples)]
+        print(",".join(header))
+        for row in rows:
+            print(",".join(map(repr, row)))
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 3
     return 0
 
 
-def _dispatch(ns) -> int:
-    mode = _FORMATS[ns.format]
-    cmd = ns.command
-    if cmd == "builtin":
-        print(render(builtin(ns.name, ns.order), mode))
-        return 0
-    if cmd == "ode-run":
-        return _cmd_ode_run(ns)
-    if cmd == "eval":
-        e = parse_expr(_source(ns))
-        try:
-            point = _parse_point(ns.at)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(repr(eval_expr(e, point)))
-        return 0
+# name -> (help, action, arguments).  The actions look the library up when
+# they run, so a wrapper installed on a library function sees these calls.
+_COMMANDS = {
+    "simplify": ("canonical form of an expression", _expr, (_FORMAT, _EXPR)),
+    "dt": ("total time derivative", _dt, (
+        _FORMAT, _EXPR, _arg("-k", type=int, default=1,
+                             help="derivative order"))),
+    "el": ("Euler-Lagrange expression",
+           lambda ns: euler_lagrange(_expr(ns)), (_FORMAT, _EXPR)),
+    "jacobi": ("energy function",
+               lambda ns: jacobi(_expr(ns)), (_FORMAT, _EXPR)),
+    "null-check": ("decide whether a Lagrangian is null", _null_check,
+                   (_EXPR,)),
+    "gauge": ("gauge function of a null Lagrangian",
+              lambda ns: extract_gauge(_expr(ns)).gauge, (_FORMAT, _EXPR)),
+    "order": ("largest jet order present", _order, (_EXPR,)),
+    "sl2": ("SL(2,R) invariance residues and verdict", _sl2,
+            (_FORMAT, _EXPR)),
+    "builtin": ("expression of a built-in family",
+                lambda ns: builtin(ns.name, ns.order), (
+                    _FORMAT, _arg("name", choices=BUILTIN_NAMES),
+                    _arg("order", nargs="?", type=int))),
+    "ode-run": ("integrate the dynamics of a Lagrangian", _ode_run, (
+        _arg("--lagrangian", required=True),
+        _arg("--init", required=True,
+             help="comma-separated initial state q0,...,q(m-1)"),
+        _arg("--t0", type=float, required=True),
+        _arg("--t1", type=float, required=True),
+        _arg("--h", type=float, required=True),
+        _arg("--monitor", help="expression sampled along the run"))),
+    "eval": ("floating-point value at a jet point", _eval, (
+        _EXPR, _arg("--at", required=True, help="comma-separated "
+                    "assignments, e.g. q1=1,q2=0.5,t=0"))),
+}
 
-    e = parse_expr(_source(ns))
-    if cmd == "simplify":
-        print(render(e, mode))
-        return 0
-    if cmd == "dt":
-        if ns.k < 1:
-            print("error: -k must be a positive integer", file=sys.stderr)
-            return 2
-        print(render(total_derivative(e, ns.k), mode))
-        return 0
-    if cmd == "el":
-        print(render(euler_lagrange(e), mode))
-        return 0
-    if cmd == "jacobi":
-        print(render(jacobi(e), mode))
-        return 0
-    if cmd == "null-check":
-        if is_null(e):
-            print("null")
-            return 0
-        print("not-null")
-        return 1
-    if cmd == "gauge":
-        print(render(extract_gauge(e).gauge, mode))
-        return 0
-    if cmd == "order":
-        n = e.jet_order()
-        print("none" if n is None else decimal_text(n))
-        return 0
-    if cmd == "sl2":
-        rep = sl2_residues(e)
-        print(f"translation: {render(rep.residue_translation, mode)}")
-        print(f"scaling: {render(rep.residue_scaling, mode)}")
-        print(f"special: {render(rep.residue_special, mode)}")
-        print("invariant" if rep.invariant else "not-invariant")
-        return 0 if rep.invariant else 1
-    raise AssertionError(f"unhandled command {cmd!r}")
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
+    p = argparse.ArgumentParser(
+        prog="jetvar",
+        description="exact variational calculus on jet expressions")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, action, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(action=action)
+    return p
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(ns)
-    except ParseError as exc:
+        result = ns.action(ns)
+        if isinstance(result, Expr):
+            print(render(result, _FORMATS[ns.format]))
+            return 0
+        return result
+    except (ParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JetvarError as exc:

@@ -23,11 +23,7 @@ def render(e: Expr, mode: str = "canonical-text") -> str:
     if mode == "latex":
         return _latex(e)
     if mode == "json-ast":
-        tree = _json_expr(e)
-        try:
-            return json.dumps(tree)
-        except ValueError:  # an exponent or jet order too long for str()
-            return _json_text(tree)
+        return _json(e)
     raise ValueError(f"unknown render mode {mode!r}")
 
 
@@ -136,42 +132,27 @@ def _latex(e: Expr) -> str:
 # -- json ast ------------------------------------------------------------------
 
 
-def _json_atom(a, ex: int) -> dict:
+def _json_atom(a, ex: int) -> str:
     if isinstance(a, TimeAtom):
-        return {"kind": "time", "exp": ex}
-    if isinstance(a, Jet):
-        return {"kind": "jet", "order": a.order, "exp": ex}
-    if isinstance(a, Param):
-        return {"kind": "param", "name": a.name, "exp": ex}
-    if isinstance(a, LogAtom):
-        return {"kind": "log", "arg": _json_expr(a.arg), "exp": ex}
-    raise TypeError(f"unknown atom {a!r}")
+        kind = '"time"'
+    elif isinstance(a, Jet):
+        kind = f'"jet", "order": {decimal_text(a.order)}'
+    elif isinstance(a, Param):
+        kind = f'"param", "name": {json.dumps(a.name)}'
+    elif isinstance(a, LogAtom):
+        kind = f'"log", "arg": {_json(a.arg)}'
+    else:
+        raise TypeError(f"unknown atom {a!r}")
+    return f'{{"kind": {kind}, "exp": {decimal_text(ex)}}}'
 
 
-def _json_poly(p: Polynomial) -> list:
-    out = []
-    for mono, coeff in p.terms:
-        out.append({
-            "coeff": {"n": decimal_text(coeff), "d": "1"},
-            "atoms": [_json_atom(a, ex) for a, ex in mono],
-        })
-    if not out:
-        out.append({"coeff": {"n": "0", "d": "1"}, "atoms": []})
-    return out
+def _json_poly(p: Polynomial) -> str:
+    """p's terms in order, as _poly_text reads them; zero is one zero term."""
+    terms = (f'{{"coeff": {{"n": "{decimal_text(c)}", "d": "1"}}, "atoms": ['
+             + ", ".join(_json_atom(a, ex) for a, ex in mono) + "]}"
+             for mono, c in p.terms or (((), 0),))
+    return "[" + ", ".join(terms) + "]"
 
 
-def _json_expr(e: Expr) -> dict:
-    return {"num": _json_poly(e.num), "den": _json_poly(e.den)}
-
-
-def _json_text(v) -> str:
-    """json.dumps(v) for the dicts, lists, strings and ints of a json-ast
-    tree, with ints of any size."""
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(x)}"
-                               for k, x in v.items()) + "}"
-    if isinstance(v, list):
-        return "[" + ", ".join(map(_json_text, v)) + "]"
-    if isinstance(v, int):
-        return decimal_text(v)
-    return json.dumps(v)
+def _json(e: Expr) -> str:
+    return f'{{"num": {_json_poly(e.num)}, "den": {_json_poly(e.den)}}}'

@@ -23,7 +23,7 @@ from functools import cache
 from .atoms import TIME, Jet, LogAtom, Param
 from .errors import ReservedParameter, UnsupportedAtom
 from .expr import Expr, const, jet, log, param
-from .jets import _dt_poly
+from .jets import _dt_poly, prolong
 from .poly import P_ZERO, Polynomial, _content_in, exact_div
 
 RESERVED_NAMES = ("a", "b", "c", "d")
@@ -50,8 +50,6 @@ def _check_reserved(e: Expr) -> None:
 
 def sl2_residues(e: Expr) -> InvarianceReport:
     """Prolongation residues for the characteristics 1, q0, q0^2."""
-    from .jets import prolong
-
     _check_reserved(e)
     r1 = prolong(const(1), e)
     rq = prolong(jet(0), e)

@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, formats, exit codes, CSV output."""
 
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +281,91 @@ def test_errors_come_in_reading_order(capsys, src, want):
     code, out, err = run(capsys, "simplify", src)
     assert (code, out) == (want, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def test_golden_outputs(capsys, monkeypatch):
+    # exit code, stdout and stderr of every subcommand in each format it
+    # takes, and of the exit-1, exit-2 and exit-3 paths, recorded from an
+    # earlier version of the CLI.  A stdout past 1000 characters is kept as
+    # its SHA-256.  argparse's own exits (stderr starting "usage:") are
+    # compared by their last line, less any list of choices, since argparse
+    # wraps and words its usage text and choice lists differently across
+    # Python versions.
+    monkeypatch.setenv("COLUMNS", "80")
+    wrong = []
+    for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        code, out, err = run(capsys, *case["argv"], stdin=case.get("stdin"),
+                             monkeypatch=monkeypatch)
+        if "stdout_sha256" in case:
+            out = hashlib.sha256(out.encode()).hexdigest()
+            want_out = case["stdout_sha256"]
+        else:
+            want_out = case["stdout"]
+        want_err = case["stderr"]
+        if want_err.startswith("usage:"):
+            err, want_err = (e.splitlines()[-1].split(" (choose from")[0]
+                             for e in (err, want_err))
+        elif want_out.startswith("usage:"):  # --help
+            out = out.replace("optional arguments:", "options:")
+        if (code, out, err) != (case["code"], want_out, want_err):
+            wrong.append(case["argv"])
+    assert wrong == []
+
+
+FORMATTED = {"simplify", "dt", "el", "jacobi", "gauge", "sl2", "builtin"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["null-check", "sigma(4)"],
+    ["order", "sigma(6)"],
+    ["eval", "sigma(3)", "--at", "q1=1,q2=-1,q3=2"],
+    ["ode-run", "--lagrangian", "q'^2/2 - q^2/2", "--init", "0,1",
+     "--t0", "0", "--t1", "0.2", "--h", "0.1"],
+], ids=["null-check", "order", "eval", "ode-run"])
+@pytest.mark.parametrize("fmt", ["canonical", "latex", "json"])
+def test_format_only_where_an_expression_is_printed(capsys, argv, fmt):
+    # these four print no expression, so they take no --format
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"jetvar: error: unrecognized arguments: --format {fmt}")
+
+
+def test_format_is_in_the_help_of_the_expression_commands(capsys):
+    from jetvar.cli import _COMMANDS
+
+    for name in _COMMANDS:
+        code, out, _ = run(capsys, name, "--help")
+        assert code == 0
+        assert ("--format" in out) == (name in FORMATTED), name
+
+
+def not_an_atom(name):
+    return 2, "", f"error: --at name {name!r} is not a jet, t or a parameter\n"
+
+
+@pytest.mark.parametrize("src, at, want", [
+    # a name in parser spelling is the atom the parser reads
+    ("q''", "q=1,q^(2)=3", (0, "3.0\n", "")),
+    ("q'", "q'=2,q=1", (0, "2.0\n", "")),
+    ("q^(3)*t + a1", "q^(3)=2,t=5,a1=1", (0, "11.0\n", "")),
+    # a name that is not one atom, or is a log, is a usage error
+    ("q", "q=1,x y=1", not_an_atom("x y")),
+    ("q", "q=1,log=1", not_an_atom("log")),
+    ("q", "q=1,log(q)=2", not_an_atom("log(q)")),
+    ("q", "q=1,1/0=2", not_an_atom("1/0")),
+    # and so is an atom assigned twice, in either spelling
+    ("q", "q=1,q0=2", (2, "", "error: --at assigns q twice\n")),
+    ("q'", "q'=1,q1=2", (2, "", "error: --at assigns q' twice\n")),
+    ("q\u0663 + q", "q\u0663=2,q=1,q\u0663=3",
+     (2, "", "error: --at assigns q\u0663 twice\n")),
+], ids=["q^(2)", "q'", "q^(3)-and-t", "two-words", "log", "log(q)", "1/0",
+        "q-twice", "q'-twice", "parameter-twice"])
+def test_eval_at_names(capsys, src, at, want):
+    assert run(capsys, "eval", src, "--at", at) == want
 
 
 def test_usage_exits(capsys):

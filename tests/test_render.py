@@ -137,11 +137,36 @@ def test_integers_past_the_str_digit_limit():
         assert k in render(e, "latex")
 
 
-def test_json_writer_for_long_ints_matches_json_dumps():
-    from jetvar.render import _json_expr, _json_text
+# json-ast of sigma(3), a log with a time atom, zero and two parameters:
+# json.dumps's separators, and its ASCII escapes in parameter names
+_JSON_AST = [
+    (sigma(3),
+     '{"num": [{"coeff": {"n": "2", "d": "1"}, "atoms": [{"kind": "jet", '
+     '"order": 1, "exp": 1}, {"kind": "jet", "order": 3, "exp": 1}]}, '
+     '{"coeff": {"n": "-3", "d": "1"}, "atoms": [{"kind": "jet", "order": 2, '
+     '"exp": 2}]}], "den": [{"coeff": {"n": "2", "d": "1"}, "atoms": '
+     '[{"kind": "jet", "order": 1, "exp": 2}]}]}'),
+    (Expr.log(Q1 / 2 + T) * Q2 ** 3 / 5,
+     '{"num": [{"coeff": {"n": "1", "d": "1"}, "atoms": [{"kind": "jet", '
+     '"order": 2, "exp": 3}, {"kind": "log", "arg": {"num": [{"coeff": '
+     '{"n": "1", "d": "1"}, "atoms": [{"kind": "jet", "order": 1, "exp": 1}]}, '
+     '{"coeff": {"n": "2", "d": "1"}, "atoms": [{"kind": "time", "exp": 1}]}], '
+     '"den": [{"coeff": {"n": "2", "d": "1"}, "atoms": []}]}, "exp": 1}]}], '
+     '"den": [{"coeff": {"n": "5", "d": "1"}, "atoms": []}]}'),
+    (Expr.const(0),
+     '{"num": [{"coeff": {"n": "0", "d": "1"}, "atoms": []}], '
+     '"den": [{"coeff": {"n": "1", "d": "1"}, "atoms": []}]}'),
+    (Expr.atom(Param("q\u0663")) ** 2 - Expr.atom(Param("b2")),
+     '{"num": [{"coeff": {"n": "1", "d": "1"}, "atoms": [{"kind": "param", '
+     '"name": "q\\u0663", "exp": 2}]}, {"coeff": {"n": "-1", "d": "1"}, '
+     '"atoms": [{"kind": "param", "name": "b2", "exp": 1}]}], '
+     '"den": [{"coeff": {"n": "1", "d": "1"}, "atoms": []}]}'),
+]
 
-    for e in (sigma(3), Expr.log(Q1 / 2 + T) * Q2 ** 3 / 5, Expr.const(0)):
-        assert _json_text(_json_expr(e)) == render(e, "json-ast")
+
+def test_json_ast_pinned_strings():
+    for e, text in _JSON_AST:
+        assert render(e, "json-ast") == text
 
 
 def test_unknown_mode_rejected():
