@@ -34,6 +34,21 @@ class _UsageError(Exception):
     """A bad argument value that argparse let through (exit 2)."""
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reads a token that starts with "-" as a
+    value, the expression or the value of the option before it, unless it
+    names one of the subcommand's options: so "-t", "-q'^2" and "--init
+    -1,0" work, as canonical text can start with "-".  argparse would
+    reject such a token as an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        found = super()._parse_optional(arg_string)
+        # an unknown option comes back with the action None, in a list of
+        # such tuples from Python 3.12.7 on
+        first = found[0] if isinstance(found, list) else found
+        return None if first is not None and first[0] is None else found
+
+
 def _arg(*flags, **kwargs):
     return flags, kwargs
 
@@ -186,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="jetvar",
         description="exact variational calculus on jet expressions")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_SubcommandParser)
     for name, (help_, action, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         for flags, kwargs in arguments:

@@ -351,12 +351,20 @@ def _derive(e: Expr, field: dict) -> Expr:
     num = yn.mul(h).sub(n.mul(exact_div(yd, g)))
     if num.is_zero:
         return E_ZERO
+    # free is the part of g prime to h.  Every factor of h left in free
+    # divides shared, so a pass divides shared out of free as often as it
+    # goes and then keeps the gcd of shared with what is left: one gcd per
+    # pass, not one per power.  For d = q'^j, g = q'^(j-1) takes one gcd and
+    # j-1 one-term divisions.
     free = g
-    while not free.is_const:
-        shared = poly_gcd(free, h)
-        if shared.is_const:
-            break
-        free = exact_div(free, shared)
+    shared = g if g.is_const else poly_gcd(g, h)
+    while not shared.is_const:
+        try:
+            while True:
+                free = exact_div(free, shared)
+        except ValueError:
+            pass
+        shared = free if free.is_const else poly_gcd(free, shared)
     den = g.mul(m)
     free = free.mul(m)
     if not free.is_const:

@@ -11,8 +11,13 @@ constants.  There is no implicit multiplication.
 The jet suffix binds only when written without whitespace: `q^(2)` is the
 second jet, while `q ^(2)` and `q^(1+1)` are the square of q.
 
-There is no parse tree: each production returns the canonical Expr of its
-text, and each operator is applied as soon as its right operand is read.
+There is no parse tree: each production returns the value of its text,
+and each operator is applied as soon as its right operand is read.  The
+value is a Polynomial while the text is polynomial, so sums, differences,
+products and powers take no gcd.  A division, a negative power, a log or a
+builtin gives a canonical Expr; a Polynomial operand is lifted to one over
+the denominator 1, which is already in lowest terms.  parse_expr returns
+the Expr of the whole text.
 The whole text is lexed first, so a bad character is reported before any
 arithmetic; after that, errors come in reading order, and a computation
 error (division by zero, a bad log or exponent) in a prefix is raised
@@ -27,7 +32,7 @@ from .atoms import TIME, Jet, Param
 from .errors import ParseError, UnsupportedExponent
 from .expr import Expr, log
 from .hierarchy import _NO_ORDER, _WITH_ORDER
-from .poly import decimal_int
+from .poly import P_ONE, Polynomial, decimal_int
 
 _OPS = set("+-*/^(),")
 # ASCII only: str.isdigit also accepts digits such as "²" that int() rejects
@@ -125,14 +130,14 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.line, tok.col)
         return self.next()
 
-    def parse(self) -> Expr:
+    def parse(self) -> Polynomial | Expr:
         e = self.expression(0)
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError("unexpected trailing input", tok.line, tok.col)
         return e
 
-    def expression(self, min_prec: int) -> Expr:
+    def expression(self, min_prec: int) -> Polynomial | Expr:
         # every parenthesis, log call, unary minus and operator of higher
         # precedence nests one level
         if self.depth == _MAX_DEPTH:
@@ -145,7 +150,7 @@ class _Parser:
         self.depth -= 1
         return e
 
-    def _operators(self, min_prec: int) -> Expr:
+    def _operators(self, min_prec: int) -> Polynomial | Expr:
         left = self.unary()
         while True:
             tok = self.peek()
@@ -157,30 +162,36 @@ class _Parser:
             op = self.next()
             # all operators associate to the left
             right = self.expression(prec + 1)
-            if op.value == "+":
-                left = left + right
-            elif op.value == "-":
-                left = left - right
-            elif op.value == "*":
-                left = left * right
+            if op.value == "^":
+                k = _exponent(right, op)
+                if type(left) is Polynomial and k >= 0:
+                    left = left.pow(k)
+                else:
+                    left = _lift(left) ** k
             elif op.value == "/":
-                left = left / right
+                left = _lift(left) / _lift(right)
+            elif type(left) is Polynomial and type(right) is Polynomial:
+                left = (left.add(right) if op.value == "+" else
+                        left.sub(right) if op.value == "-" else left.mul(right))
             else:
-                left = left ** _exponent(right, op)
+                left, right = _lift(left), _lift(right)
+                left = (left + right if op.value == "+" else
+                        left - right if op.value == "-" else left * right)
 
-    def unary(self) -> Expr:
+    def unary(self) -> Polynomial | Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.next()
-            return -self.expression(_UNARY_PREC + 1)
+            e = self.expression(_UNARY_PREC + 1)
+            return e.neg() if type(e) is Polynomial else -e
         return self.primary()
 
-    def primary(self) -> Expr:
+    def primary(self) -> Polynomial | Expr:
         tok = self.next()
         if tok.kind == "int":
-            return Expr.const(tok.value)
+            return Polynomial.const(tok.value)
         if tok.kind == "jet":
-            return Expr.atom(Jet(tok.value))
+            return Polynomial.atom(Jet(tok.value))
         if tok.kind == "op" and tok.value == "(":
             inner = self.expression(0)
             self.expect_op(")")
@@ -188,7 +199,7 @@ class _Parser:
         if tok.kind == "name":
             name = tok.value
             if name == "t":
-                return Expr.atom(TIME)
+                return Polynomial.atom(TIME)
             nxt = self.peek()
             calls = nxt.kind == "op" and nxt.value == "("
             if name == "log":
@@ -198,7 +209,7 @@ class _Parser:
                 self.next()
                 inner = self.expression(0)
                 self.expect_op(")")
-                return log(inner)
+                return log(_lift(inner))
             if calls and name in _WITH_ORDER:
                 self.next()
                 arg = self.peek()
@@ -212,12 +223,19 @@ class _Parser:
                 self.next()
                 self.expect_op(")")
                 return _NO_ORDER[name]()
-            return Expr.atom(Param(name))
+            return Polynomial.atom(Param(name))
         raise ParseError("expected an expression", tok.line, tok.col)
 
 
-def _exponent(e: Expr, op_tok: _Token) -> int:
+def _lift(e: Polynomial | Expr) -> Expr:
+    """The Expr of a production's value."""
+    return Expr(e, P_ONE, _reduced=True) if type(e) is Polynomial else e
+
+
+def _exponent(e: Polynomial | Expr, op_tok: _Token) -> int:
     if e.is_const:
+        if type(e) is Polynomial:
+            return e.const_value()
         v = e.const_value()
         if v.denominator == 1:
             return int(v)
@@ -227,4 +245,4 @@ def _exponent(e: Expr, op_tok: _Token) -> int:
 
 def parse_expr(src: str) -> Expr:
     """Canonical Expr of the source text."""
-    return _Parser(_lex(src)).parse()
+    return _lift(_Parser(_lex(src)).parse())

@@ -437,6 +437,13 @@ class Polynomial:
     def pow(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.keys) == 1 and k > 1:
+            # one term: its key, coded at the width of the power's degree,
+            # times k, as no field carries there
+            la = self.layout
+            lay = _layout(la.atoms, _width(k * (self.keys[0] >> la.dshift)))
+            return Polynomial(lay, (_recode(la, lay, self.keys)[0] * k,),
+                              (self.coeffs[0] ** k,))
         result = P_ONE
         base = self
         while k:

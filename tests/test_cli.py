@@ -289,7 +289,8 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 def test_golden_outputs(capsys, monkeypatch):
     # exit code, stdout and stderr of every subcommand in each format it
     # takes, and of the exit-1, exit-2 and exit-3 paths, recorded from an
-    # earlier version of the CLI.  A stdout past 1000 characters is kept as
+    # earlier version of the CLI, except the values that start with "-",
+    # which that version rejected as unknown options.  A stdout past 1000 characters is kept as
     # its SHA-256.  argparse's own exits (stderr starting "usage:") are
     # compared by their last line, less any list of choices, since argparse
     # wraps and words its usage text and choice lists differently across
@@ -341,6 +342,32 @@ def test_format_is_in_the_help_of_the_expression_commands(capsys):
         code, out, _ = run(capsys, name, "--help")
         assert code == 0
         assert ("--format" in out) == (name in FORMATTED), name
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_unknown_options_are_values_in_either_argparse_shape(monkeypatch, listed):
+    # argparse's option lookup returns a tuple up to Python 3.12.6 and a list
+    # of tuples from 3.12.7 on; an unknown option is a value in both shapes
+    import argparse
+
+    from jetvar.cli import _SubcommandParser
+
+    lookup = argparse.ArgumentParser._parse_optional
+    def lookup_listed(self, arg):
+        found = lookup(self, arg)
+        return None if found is None else [(*found, None)]
+
+    if listed:
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_optional",
+                            lookup_listed)
+    p = _SubcommandParser()
+    p.add_argument("-k")
+    assert p._parse_optional("-t") is None
+    assert p._parse_optional("-1,0") is None
+    for arg in ("-k", "-k2", "--help", "-h"):
+        found = p._parse_optional(arg)
+        first = found[0] if listed else found
+        assert first[0] is not None, arg
 
 
 def not_an_atom(name):

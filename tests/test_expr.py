@@ -447,6 +447,25 @@ def test_exponents_decode_across_width_boundaries():
         _assert_canonical(p.add(Polynomial.atom(Param("a1")).pow(e + 1)))
 
 
+@pytest.mark.parametrize("src, k", [
+    ("-3*q*t^100", 2),  # field width 8 -> 16
+    ("q^127", 3),  # 8 -> 16
+    ("q^200*t^20000", 2),  # 16 -> 24
+    ("-2*q'*a1^3", 0),
+    ("-2*q'*a1^3", 1),
+    ("-2*q'*a1^3", 5),
+    ("-5", 3),
+])
+def test_one_term_pow_is_repeated_mul(src, k):
+    p = _num(src)
+    want = P_ONE
+    for _ in range(k):
+        want = want.mul(p)
+    got = p.pow(k)
+    assert got.layout is want.layout
+    assert (got.keys, got.coeffs) == (want.keys, want.coeffs)
+
+
 def test_exact_div_checks_every_exponent():
     # q*q' has total degree 2, as q^2 does, but q's exponent is too small
     with pytest.raises(ValueError):

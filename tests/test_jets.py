@@ -14,6 +14,7 @@ from jetvar import (
     prolong,
     total_derivative,
 )
+from jetvar import expr
 
 from conftest import hypo_expr_strategy, rand_poly
 
@@ -45,6 +46,33 @@ def test_dt_quotient():
 def test_dt_log():
     assert total_derivative(Expr.log(Q1)) == Q2 / Q1
     assert total_derivative(Expr.log(Q0 / T)) == Q1 / Q0 - 1 / T
+
+
+def test_dt_gcds_do_not_grow_with_the_denominator_power(monkeypatch):
+    # the part of gcd(d, D_t d) prime to d/gcd is found with a number of
+    # gcds that does not grow with the powers in d
+    calls = []
+    poly_gcd = expr.poly_gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(expr, "poly_gcd", counted)
+    for src, want in (
+            ("1/q'^{n}", "-{n}*q''/q'^{m}"),
+            ("1/(q'^{n}*(q + 1)^{n})",
+             "-{n}*(q''*(q + 1) + q'^2)/(q'*(q + 1))^{m}"),
+            ("1/(q'^{n}*(q + 1)^2)",
+             "-({n}*q''*(q + 1) + 2*q'^2)/(q'^{m}*(q + 1)^3)")):
+        counts = set()
+        for n in (5, 20, 40):
+            e = parse_expr(src.format(n=n))
+            calls.clear()
+            de = total_derivative(e)
+            counts.add(len(calls))
+            assert de == parse_expr(want.format(n=n, m=n + 1))
+        assert len(counts) == 1, (src, counts)
 
 
 def test_jet_order_reporting():

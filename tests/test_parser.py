@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jetvar import (
+    DivisionByZero,
     Expr,
     Jet,
     Param,
@@ -106,6 +107,24 @@ def test_exponent_must_be_integer():
     # but any constant subtree that reduces to an integer is fine
     assert parse_expr("q'^(6/2)") == Q1 ** 3
     assert parse_expr("t^(2 - 4)") == 1 / T ** 2
+
+
+def test_polynomial_and_rational_operands_mix():
+    # a production stays a polynomial until a division, a negative power, a
+    # log or a builtin; a polynomial meeting an Expr is lifted to it
+    assert parse_expr("q^(t-t+2)") == Q0 ** 2
+    assert parse_expr("q^(q-q)") == 1
+    assert parse_expr("3/4*q^2 - 3*q^2/4") == 0
+    assert parse_expr("2*sigma(3) - sigma(3)*2") == 0
+    assert parse_expr("-(q + 1)^-2*t") == -T / (Q0 + 1) ** 2
+    assert parse_expr("log(q^2*t) - 2*q") == Expr.log(Q0 ** 2 * T) - 2 * Q0
+    for src in ("q", "2", "q - q", "(q + t)^3", "1/2"):
+        assert type(parse_expr(src)) is Expr
+    with pytest.raises(UnsupportedExponent) as info:
+        parse_expr("q^(1/2)")
+    assert "column 2" in str(info.value)
+    with pytest.raises(DivisionByZero):
+        parse_expr("(q-q)^-1")
 
 
 def test_error_positions():
