@@ -39,9 +39,13 @@ class _SubcommandParser(argparse.ArgumentParser):
     value, the expression or the value of the option before it, unless it
     names one of the subcommand's options: so "-t", "-q'^2" and "--init
     -1,0" work, as canonical text can start with "-".  argparse would
-    reject such a token as an unknown option."""
+    reject such a token as an unknown option.  A token led by "-h" is a
+    value too unless it is "-h" itself: argparse would read "-h^2" as "-h"
+    with the value "^2" and fail."""
 
     def _parse_optional(self, arg_string):
+        if arg_string.startswith("-h") and arg_string != "-h":
+            return None
         found = super()._parse_optional(arg_string)
         # an unknown option comes back with the action None, in a list of
         # such tuples from Python 3.12.7 on

@@ -9,7 +9,10 @@ Mobius action q -> (a*q + b)/(c*q + d) with a*d - b*c = 1:
     unimodular parameters reproduces the expression exactly.
 
 The finite route maps every input, logs included, through one polynomial
-recurrence for the jets of the map (see _mobius_image).
+recurrence for the jets of the map (see _mobius_parts), whose numerators are
+kept per map (_jets_of) and so computed once.  Its verdict cross-multiplies
+the unreduced image num / den with e, num * e.den == e.num * den: canonical
+forms are unique, so this decides image == e without reducing the image.
 
 The parameter names a, b, c, d are reserved for the group action and are
 rejected inside the expression under test.
@@ -17,8 +20,9 @@ rejected inside the expression under test.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .atoms import TIME, Jet, LogAtom, Param
 from .errors import ReservedParameter, UnsupportedAtom
@@ -27,6 +31,9 @@ from .jets import _dt_poly, prolong
 from .poly import P_ZERO, Polynomial, _content_in, exact_div
 
 RESERVED_NAMES = ("a", "b", "c", "d")
+
+# guards the growth of the numerator lists that _jets_of shares
+_JETS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -62,28 +69,37 @@ def sl2_residues(e: Expr) -> InvarianceReport:
     )
 
 
-def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
-    """Image of e under Jet(k) -> D_t^k(w), jets inside logs included.
+@lru_cache(maxsize=8)
+def _jets_of(w: Expr):
+    """(U, D_t U, rest, ubase, nums) for the map w = nums[0] / U.
+
+    U = rest * ubase, with rest the content of U in q, integer content
+    included, and ubase 1 when U is free of q.  nums holds the numerators
+    N_0, N_1, ... computed so far; _mobius_parts extends it in place, so
+    the jets of one map are computed once, however often it is applied.
+    """
+    U = w.den
+    rest = _content_in(U, Jet(0)).scale(U.coeff_content())
+    return U, _dt_poly(U), rest, exact_div(U, rest), [w.num]
+
+
+def _mobius_parts(e: Expr, w: Expr, n: int):
+    """Image of e under Jet(k) -> D_t^k(w), jets inside logs included, as
+    the unreduced (num, den, j), meaning num / (den * U^j).
 
     Jet k maps to N_k / U^(k+1), where U is w's denominator and the
     numerators follow the polynomial recurrence
-    N_{k+1} = D_t(N_k)*U - (k+1)*N_k*D_t(U).  A log whose argument has jets
-    maps to the log of its argument's image.  Each image is brought over one
-    power of U, trial-divided by the part of U that contains q, and reduced
-    by the ordinary Expr constructor.
+    N_{k+1} = D_t(N_k)*U - (k+1)*N_k*D_t(U), run only past the highest
+    order w's table holds.  Numerator and denominator of
+    e are each brought over one power of U, and the lower power is matched
+    to the higher one.  A log whose argument has jets maps to the log of
+    its argument's canonical image (_mobius_image).
     """
-    U = w.den
-    DU = _dt_poly(U)
-    nums = [w.num]
-    for k in range(n):
-        nk = nums[-1]
-        nums.append(_dt_poly(nk).mul(U).sub(nk.mul(DU).scale(k + 1)))
-    # U = rest * ubase with rest the content of U in q, integer content
-    # included; ubase is 1 when U is free of q
-    rest = _content_in(U, Jet(0))
-    rest = rest.scale(U.coeff_content())
-    ubase = exact_div(U, rest)
-
+    U, DU, _, _, nums = _jets_of(w)
+    with _JETS_LOCK:
+        for k in range(len(nums) - 1, n):
+            nk = nums[-1]
+            nums.append(_dt_poly(nk).mul(U).sub(nk.mul(DU).scale(k + 1)))
     upow = cache(U.pow)
 
     @cache
@@ -92,7 +108,7 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
         if isinstance(atom, Jet):
             return nums[atom.order]
         if isinstance(atom, LogAtom) and atom.arg.jet_order() is not None:
-            return log(image(atom.arg)).num
+            return log(_mobius_image(atom.arg, w, n)).num
         return Polynomial.atom(atom)
 
     def image_poly(p: Polynomial):
@@ -108,20 +124,25 @@ def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
             out = out.add(poly.mul(upow(top - j)))
         return out, top
 
-    def image(x: Expr) -> Expr:
-        num, jn = image_poly(x.num)
-        den, jd = image_poly(x.den)
-        num = num.mul(upow(max(jd - jn, 0)))
-        uexp = residual = max(jn - jd, 0)
-        while residual and not ubase.is_const:
-            try:
-                num = exact_div(num, ubase)
-            except ValueError:
-                break
-            residual -= 1
-        return Expr(num, den.mul(rest.pow(uexp)).mul(ubase.pow(residual)))
+    num, jn = image_poly(e.num)
+    den, jd = image_poly(e.den)
+    return num.mul(upow(max(jd - jn, 0))), den, max(jn - jd, 0)
 
-    return image(e)
+
+def _mobius_image(e: Expr, w: Expr, n: int) -> Expr:
+    """The canonical image of _mobius_parts: the numerator is trial-divided
+    by ubase, the part of U that contains q, before the ordinary Expr
+    constructor reduces the rest."""
+    num, den, uexp = _mobius_parts(e, w, n)
+    _, _, rest, ubase, _ = _jets_of(w)
+    residual = uexp
+    while residual and not ubase.is_const:
+        try:
+            num = exact_div(num, ubase)
+        except ValueError:
+            break
+        residual -= 1
+    return Expr(num, den.mul(rest.pow(uexp)).mul(ubase.pow(residual)))
 
 
 def mobius_substitute(e: Expr, a, b, c, d) -> Expr:
@@ -152,12 +173,23 @@ def mobius_substitute(e: Expr, a, b, c, d) -> Expr:
     return _mobius_image(e, (a * jet(0) + b) / (c * jet(0) + d), n)
 
 
+@cache
+def _generic_map() -> Expr:
+    """The unimodular map over the reserved parameters, built once."""
+    a, b, c = param("a"), param("b"), param("c")
+    return (a * jet(0) + b) / (c * jet(0) + (1 + b * c) / a)
+
+
 def sl2_finite_check(e: Expr) -> bool:
     """True iff e is exactly reproduced by a symbolic unimodular Mobius map.
 
-    Both sides are canonical, so the difference normalizes to zero exactly
-    when the canonical forms coincide structurally.
+    Decided by cross-multiplying the unreduced image num / (den * U^j)
+    with e, as the module docstring describes.
     """
     _check_reserved(e)
-    image = mobius_substitute(e, param("a"), param("b"), param("c"), param("d"))
-    return image == e
+    n = e.jet_order()
+    if n is None:
+        return True
+    w = _generic_map()
+    num, den, j = _mobius_parts(e, w, n)
+    return num.mul(e.den) == e.num.mul(den).mul(w.den.pow(j))

@@ -290,7 +290,8 @@ def test_golden_outputs(capsys, monkeypatch):
     # exit code, stdout and stderr of every subcommand in each format it
     # takes, and of the exit-1, exit-2 and exit-3 paths, recorded from an
     # earlier version of the CLI, except the values that start with "-",
-    # which that version rejected as unknown options.  A stdout past 1000 characters is kept as
+    # which that version rejected as unknown options, and those that start
+    # with "-h", which it read as -h with a value.  A stdout past 1000 characters is kept as
     # its SHA-256.  argparse's own exits (stderr starting "usage:") are
     # compared by their last line, less any list of choices, since argparse
     # wraps and words its usage text and choice lists differently across

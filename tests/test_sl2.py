@@ -1,6 +1,8 @@
 """Infinitesimal and finite Mobius invariance checks."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from jetvar import (
     sl2_residues,
     total_derivative,
 )
+
+from jetvar.sl2 import _jets_of
 
 from conftest import rand_log_expr, rand_poly
 
@@ -202,3 +206,87 @@ def test_log_in_t_parameter_rejected():
     for bad in (Expr.log(T), Expr.log(A1 + Expr.log(T + 1))):
         with pytest.raises(UnsupportedAtom):
             mobius_substitute(Q1, 1, bad, 0, 1)
+
+
+def test_finite_verdict_matches_the_canonical_image():
+    # the finite check cross-multiplies the unreduced image with e; the
+    # canonical route reduces the image and compares it with e
+    d = Expr.atom(Param("d"))
+    corpus = [sigma(n) for n in range(3, 7)]
+    corpus += [schippers(n) for n in range(4, 7)] + [pre_schwarzian()]
+    corpus += [sigma(4) + Expr.log(Q1), sigma(4) + Expr.log(sigma(3))]
+    corpus += [A1 * sigma(3), A1 * pre_schwarzian(), sigma(3) + A1]
+    corpus += [T ** 2 + A1, Expr.log(T + 1)]  # jet-free
+    rng = random.Random(53)
+    corpus += [rand_poly(rng, jets_max=2, max_terms=2) for _ in range(6)]
+    corpus += [rand_log_expr(rng, 1) for _ in range(6)]
+    verdicts = []
+    for e in corpus:
+        verdict = sl2_finite_check(e)
+        assert verdict == (mobius_substitute(e, A, B, C, d) == e)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_jet_table_cache_keeps_results():
+    # each map at a high jet order, a low one and a higher one again: the
+    # table of numerators grows past what it holds, and with more maps
+    # than the cache keeps, tables are dropped and rebuilt
+    maps = list(MAPS.values()) + [(1, k, 1, k + 1) for k in range(1, 6)]
+    assert len(maps) > _jets_of.cache_info().maxsize
+    _jets_of.cache_clear()
+    jets = {}
+
+    def check(i, k):
+        a, b, c, d = maps[i]
+        if i not in jets:
+            jets[i] = [(a * Q0 + b) / (c * Q0 + d)]
+        while len(jets[i]) <= k:
+            jets[i].append(total_derivative(jets[i][-1]))
+        qk = Expr.atom(Jet(k))
+        e = qk * Q0 / (Q1 + 2) + Expr.log(qk + Q0)
+        mapping = {Jet(j): jets[i][j] for j in range(k + 1)}
+        assert mobius_substitute(e, a, b, c, d) == e.substitute_many(mapping)
+
+    for k in (4, 1, 6):
+        for i in range(4):
+            check(i, k)
+    for k in (5, 1, 7):
+        for i in range(len(maps)):
+            check(i, k)
+
+
+def test_jet_table_grows_correctly_under_threads():
+    # threads share one map's table of numerators and extend it at once
+    a, b, c, d = MAPS["unimodular"]
+    w = (a * Q0 + b) / (c * Q0 + d)
+    ref = [w]
+    for _ in range(8):
+        ref.append(total_derivative(ref[-1]))
+    orders = (8, 3, 6, 1, 5, 2, 7, 4)
+    barrier = threading.Barrier(len(orders), timeout=60)
+    failures = []
+
+    def work(k):
+        barrier.wait()
+        try:
+            if mobius_substitute(Expr.atom(Jet(k)), a, b, c, d) != ref[k]:
+                failures.append(k)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _jets_of.cache_clear()
+            mobius_substitute(Q0, a, b, c, d)  # one table for all threads
+            threads = [threading.Thread(target=work, args=(k,)) for k in orders]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
