@@ -11,11 +11,29 @@ Atoms are interned: while an atom is alive, constructing an equal one
 returns that same object, and copy and pickle return it too.  So equality
 and hashing are object identity, and a dict or set lookup of an atom runs
 no Python code.  Hashes differ from process to process; order by sort_key.
+
+Interning is publish-once, so it holds under threads.  A constructor looks
+its key up in the kind's weak table; on a miss it builds the atom whole and
+hands it to _publish, which enters it under a lock unless an equal key got
+there first, and returns what the table then holds.  So no thread sees a
+half-built atom, and equal keys give one object.  _publish is the one
+writer of every intern table, poly's layouts included, and its lock is
+never held while an object is built.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
+
+_PUBLISH_LOCK = threading.Lock()
+
+
+def _publish(table, key, obj):
+    """Enter the fully built obj in the intern table under key, unless an
+    equal key is already there, and return the object the table holds."""
+    with _PUBLISH_LOCK:
+        return table.setdefault(key, obj)
 
 
 class _Atom:
@@ -32,6 +50,15 @@ class _Atom:
     def __reduce__(self):
         # the constructor takes the kind's own slots and returns the live atom
         return type(self), tuple(getattr(self, s) for s in type(self).__slots__)
+
+    @classmethod
+    def _intern(cls, value, key):
+        """The atom whose own slot holds value, built whole and then
+        published in cls._live under value; called on a lookup's miss."""
+        atom = object.__new__(cls)
+        object.__setattr__(atom, cls.__slots__[0], value)
+        object.__setattr__(atom, "_key", key)
+        return _publish(cls._live, value, atom)
 
 
 class TimeAtom(_Atom):
@@ -60,11 +87,7 @@ class Jet(_Atom):
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"jet order must be a nonnegative integer, got {order!r}")
         atom = cls._live.get(order)
-        if atom is None:
-            atom = cls._live[order] = object.__new__(cls)
-            object.__setattr__(atom, "order", order)
-            object.__setattr__(atom, "_key", (1, order))
-        return atom
+        return atom if atom is not None else cls._intern(order, (1, order))
 
     def __repr__(self):
         return f"Jet({self.order})"
@@ -80,11 +103,7 @@ class Param(_Atom):
         if not name or not name[0].isalpha():
             raise ValueError(f"parameter name must start with a letter, got {name!r}")
         atom = cls._live.get(name)
-        if atom is None:
-            atom = cls._live[name] = object.__new__(cls)
-            object.__setattr__(atom, "name", name)
-            object.__setattr__(atom, "_key", (2, name))
-        return atom
+        return atom if atom is not None else cls._intern(name, (2, name))
 
     def __repr__(self):
         return f"Param({self.name!r})"
@@ -104,11 +123,7 @@ class LogAtom(_Atom):
         # arg must already be a canonical Expr; constructors in expr.py
         # enforce that it is not a bare constant.
         atom = cls._live.get(arg)
-        if atom is None:
-            atom = cls._live[arg] = object.__new__(cls)
-            object.__setattr__(atom, "arg", arg)
-            object.__setattr__(atom, "_key", (3, arg.sort_key()))
-        return atom
+        return atom if atom is not None else cls._intern(arg, (3, arg.sort_key()))
 
     def __repr__(self):
         return f"LogAtom({self.arg!r})"

@@ -19,7 +19,9 @@ class DivisionByZero(JetvarError):
 
 
 class UnsupportedAtom(JetvarError):
-    """Partial differentiation with respect to a log atom is undefined."""
+    """partial was asked for a derivative with respect to a log atom, or to
+    anything but t, a jet or a parameter; or a mobius_substitute parameter
+    is not an expression, has a jet, or has a log in t."""
 
 
 class UnsupportedLogArgument(JetvarError):
@@ -35,7 +37,10 @@ class NonexactTop(JetvarError):
 
 
 class IntegrationUnsupported(JetvarError):
-    """A peeled integrand is outside the polynomial + c/(linear) class."""
+    """Gauge extraction failed: a peeled integrand is outside the
+    polynomial + c/(linear) class, or has a log whose argument holds the
+    integration atom; peeling did not lower the jet order; or the
+    reconstructed gauge does not reproduce L."""
 
 
 class NonlinearTop(JetvarError):

@@ -11,6 +11,7 @@ every n >= 3 and is not SL(2,R)-invariant beyond n = 3.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,8 +49,10 @@ def sigma(n: int) -> Expr:
     return total_derivative(sigma(5))
 
 
-# S_3, S_4, ... as far as they have been asked for
+# S_3, S_4, ... as far as they have been asked for; grown under the lock,
+# so that threads asking at once extend it once and in order
 _SCHIPPERS: list = []
+_SCHIPPERS_LOCK = threading.Lock()
 
 
 def schippers(n: int) -> Expr:
@@ -61,14 +64,15 @@ def schippers(n: int) -> Expr:
     if not isinstance(n, int) or n < 3:
         got = decimal_text(n) if isinstance(n, int) else repr(n)
         raise UnsupportedOrder(f"schippers is defined for orders >= 3, got {got}")
-    if not _SCHIPPERS:
-        _SCHIPPERS.append(sigma(3))
-    while len(_SCHIPPERS) <= n - 3:
-        m = len(_SCHIPPERS) + 2  # the order of the last one
-        prev = _SCHIPPERS[-1]
-        _SCHIPPERS.append(total_derivative(prev)
-                          - (m - 1) * pre_schwarzian() * prev)
-    return _SCHIPPERS[n - 3]
+    with _SCHIPPERS_LOCK:
+        if not _SCHIPPERS:
+            _SCHIPPERS.append(sigma(3))
+        while len(_SCHIPPERS) <= n - 3:
+            m = len(_SCHIPPERS) + 2  # the order of the last one
+            prev = _SCHIPPERS[-1]
+            _SCHIPPERS.append(total_derivative(prev)
+                              - (m - 1) * pre_schwarzian() * prev)
+        return _SCHIPPERS[n - 3]
 
 
 _NO_ORDER = {"presch": pre_schwarzian, "L2": l2}

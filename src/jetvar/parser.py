@@ -75,7 +75,7 @@ def _lex(text: str):
                 advance()
             tokens.append(_Token("int", decimal_int(text[start:i]), line, scol))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isalpha():  # a name starts with a letter, as Param requires
             start, scol = i, col
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 advance()

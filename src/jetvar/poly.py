@@ -68,7 +68,7 @@ from operator import index as _as_int
 from operator import neg as _neg
 from operator import or_ as _or
 
-from .atoms import Atom
+from .atoms import Atom, _publish
 from .errors import DivisionByZero
 
 # str() and int() convert ints of up to this many decimal digits whatever
@@ -133,10 +133,12 @@ class _Layout:
 
 # _layout interns layouts in the weak _LAYOUTS, as Polynomial.__eq__ compares
 # them by identity; an lru_cache there could evict a layout in use and make a
-# second one.  Joins, key-move plans and sub-layouts are pure functions of
-# layouts, each behind an lru_cache of _CACHE_SIZE entries that keeps the
-# layouts it names alive: bounded, so that a chain meeting ever new atoms, like
-# D_t^k of q^(k), runs in bounded memory, and holds a workload's working set.
+# second one.  A miss builds the layout whole and publishes it once, through
+# atoms._publish, so that under threads equal keys still give one layout.
+# Joins, key-move plans and sub-layouts are pure functions of layouts, each
+# behind an lru_cache of _CACHE_SIZE entries that keeps the layouts it names
+# alive: bounded, so that a chain meeting ever new atoms, like D_t^k of q^(k),
+# runs in bounded memory, and holds a workload's working set.
 _LAYOUTS = weakref.WeakValueDictionary()
 _CACHE_SIZE = 4096
 
@@ -144,7 +146,7 @@ _CACHE_SIZE = 4096
 def _layout(atoms: tuple, width: int) -> _Layout:
     lay = _LAYOUTS.get((atoms, width))
     if lay is None:
-        lay = _LAYOUTS[atoms, width] = _Layout(atoms, width)
+        lay = _publish(_LAYOUTS, (atoms, width), _Layout(atoms, width))
     return lay
 
 

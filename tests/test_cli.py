@@ -291,8 +291,9 @@ def test_golden_outputs(capsys, monkeypatch):
     # takes, and of the exit-1, exit-2 and exit-3 paths, recorded from an
     # earlier version of the CLI, except the values that start with "-",
     # which that version rejected as unknown options, and those that start
-    # with "-h", which it read as -h with a value.  A stdout past 1000 characters is kept as
-    # its SHA-256.  argparse's own exits (stderr starting "usage:") are
+    # with "-h", which it read as -h with a value, and those whose expression
+    # or --at name starts with "_", on which it ended in a raw ValueError.  A
+    # stdout past 1000 characters is kept as its SHA-256.  argparse's own exits (stderr starting "usage:") are
     # compared by their last line, less any list of choices, since argparse
     # wraps and words its usage text and choice lists differently across
     # Python versions.

@@ -147,6 +147,16 @@ def test_error_positions():
     assert "column 3" in str(info.value)
 
 
+def test_names_start_with_a_letter():
+    # a leading "_" is no name, as a parameter must start with a letter;
+    # "_" after the first letter is part of the name
+    for src, col in (("_x", 1), ("q + _", 5), ("a1*__q", 4)):
+        with pytest.raises(ParseError) as info:
+            parse_expr(src)
+        assert f"unexpected character '_' (line 1, column {col})" in str(info.value)
+    assert parse_expr("x_1 + q_") == Expr.atom(Param("x_1")) + Expr.atom(Param("q_"))
+
+
 def test_builtin_arity_errors():
     with pytest.raises(ParseError):
         parse_expr("sigma()")
