@@ -84,7 +84,8 @@ class Jet(_Atom):
     _live = weakref.WeakValueDictionary()
 
     def __new__(cls, order: int):
-        if not isinstance(order, int) or order < 0:
+        # a bool is an int equal to 0 or 1, and would find that atom
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ValueError(f"jet order must be a nonnegative integer, got {order!r}")
         atom = cls._live.get(order)
         return atom if atom is not None else cls._intern(order, (1, order))

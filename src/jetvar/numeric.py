@@ -9,27 +9,42 @@ trajectory.  All heavy lifting stays exact; floats appear only here.
 Expressions are evaluated by generated Python source, built with compile
 and exec in a private namespace.  A quotient num/den becomes straight-line
 code: the denominator is summed and tested for zero, then the numerator is
-summed, and their quotient taken.  A sum is ``s = 0.0`` followed by one
-statement ``s += c * x1 ** e1 * x2 ** e2`` per term, monomial factors in
-ascending atom order, with c the repr of the coefficient's float.  Python
-evaluates that left to right, so every float equals what a term-by-term
-walk of the polynomial gives, and an OverflowError from a power surfaces at
-the same factor; it becomes NumericOverflow.  Each term is a statement of
-its own because one chained ``+`` of thousands of terms exceeds the
-compiler's recursion limit.  A log factor is ``_log(g(...))``, where g is
-the generated evaluator of the log's argument and _log rejects a
-nonpositive argument.  The source holds only generated names, float reprs
-and int exponents, never text of the expression.
+summed, and their quotient taken.  A sum is ``s = 0.0 + t1 + t2 + ...``
+over its terms, in chunks of at most _CHUNK terms (``s = s + ...`` after
+the first), since one chained ``+`` of thousands of terms exceeds the
+compiler's recursion limit.  A term is ``c * f1 * f2 ...``, factors in
+ascending atom order, with c the repr of the coefficient's float; a
+coefficient 1.0 is left out and -1.0 is a unary minus on the first factor,
+and a factor x ** 1 is x.
 
-integrate_rk4 generates one loop per system, with the stage points and the
-slopes as locals unrolled over the state components, and the guard and the
-rhs inlined at each stage.
+Each evaluation point has one power table: a power x ** e, e >= 2, of a
+non-log atom is bound to a local once, just before the first statement that
+reads it, and every later term at that point reads the local.  A log factor
+is ``_log(g(...)) ** e`` inline, where g is the generated evaluator of the
+log's argument and _log rejects a nonpositive argument; a term with a log
+factor ends its chunk.  So a power never runs ahead of its quotient's
+zero-denominator test or of an earlier term's log, and the first failure
+at a point is the one a term-by-term walk of the polynomials meets; an
+OverflowError from a power becomes NumericOverflow.  Every float is what
+that walk gives: x ** 1, 1.0 * x and -1.0 * x are exactly x, x and -x, and
+the rest are the walk's own operations in its order.  The source holds only
+generated names, float reprs and int exponents, never text of the
+expression.
+
+integrate_rk4 runs one generated loop per system, kept by _rk4_loop in an
+LRU cache: the stage points and the slopes are locals unrolled over the
+state components, and the guard and the rhs are inlined at each stage,
+sharing the stage's power table.  monitor runs one generated loop over the
+trajectory.  A generated function keeps its state in locals only, so
+threads can share it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .atoms import TIME, Atom, Jet, LogAtom
 from .errors import MissingAtom, NullODE, NumericOverflow, NumericSingularity
@@ -93,49 +108,89 @@ _HELPERS = {f.__name__: f for f in (
     _log, _zero_denominator, _power_overflow, _guard_abort, _state_overflow)}
 
 
+_CHUNK = 100  # terms per generated sum statement
+
+
 class _Source:
     """Namespace of one generated function, with one generated evaluator
-    per log atom that it reads, over the slots of `atoms`."""
+    per log atom that it reads, over the slots of `atoms`.
+
+    quotient gives (line, powers) pairs, powers naming the power locals
+    that the line reads; bind turns pairs into the function's lines."""
 
     def __init__(self, atoms):
         self.atoms = tuple(atoms)
         self.ns = dict(_HELPERS)
         self.logs = {}
+        self.unbound = {}  # power local -> the power it is to be bound to
+        self.fresh = itertools.count()
 
-    def quotient(self, e: Expr, names: dict, out: str) -> list:
-        """Statements that set `out` to the value of e, reading atom a
-        from the local names[a]; every non-log atom of e must be among
-        the slots."""
+    def quotient(self, e: Expr, names: dict, powers: dict, out: str) -> list:
+        """Pairs that set `out` to the value of e, reading atom a from the
+        local names[a] and a ** k from the local powers[a, k], the power
+        table of the evaluation point, which gains what it lacks; every
+        non-log atom of e must be among the slots."""
         _check_atoms(e, self.atoms)
-        num = self._sum(e.num, names, "s")
-        den = self._sum(e.den, names, "d")
-        return [*den, "if d == 0.0:", "    _zero_denominator()", *num,
-                f"{out} = s / d"]
+        num = self._sum(e.num, names, powers, "s")
+        den = self._sum(e.den, names, powers, "d")
+        return [*den, ("if d == 0.0:", ()), ("    _zero_denominator()", ()),
+                *num, (f"{out} = s / d", ())]
 
-    def _sum(self, p: Polynomial, names: dict, acc: str) -> list:
-        lines = [f"{acc} = 0.0"]
-        for mono, coeff in p.terms:
-            # exponents in hex: decimal literals are capped at 4300 digits
-            factors = "".join(f" * {self._factor(a, names)} ** {ex:#x}"
-                              for a, ex in mono)
+    def bind(self, pairs) -> list:
+        """The lines of pairs, each power local bound just before the first
+        line that reads it."""
+        lines = []
+        for line, powers in pairs:
+            lines += [f"{w} = {self.unbound.pop(w)}" for w in powers
+                      if w in self.unbound]
+            lines.append(line)
+        return lines
+
+    def _sum(self, p: Polynomial, names: dict, powers: dict, acc: str) -> list:
+        pairs, terms, reads = [], [], []
+        last = len(p.terms) - 1
+        for i, (mono, coeff) in enumerate(p.terms):
+            factors = [self._factor(a, ex, names, powers, reads)
+                       for a, ex in mono]
             try:
-                c = repr(float(coeff))
+                c = float(coeff)
             except OverflowError:
                 raise NumericOverflow(
                     f"coefficient of {coeff.bit_length()} bits does not fit"
                     " in a float") from None
-            lines.append(f"{acc} += {c}{factors}")
-        return lines
+            if not factors:
+                factors = [repr(c)]
+            elif c == -1.0:
+                factors[0] = f"-{factors[0]}"
+            elif c != 1.0:
+                factors.insert(0, repr(c))
+            terms.append(" * ".join(factors))
+            # a log may raise, so no later term's power is bound before it
+            if (i == last or len(terms) == _CHUNK
+                    or any(isinstance(a, LogAtom) for a, _ in mono)):
+                head = acc if pairs else "0.0"
+                pairs.append((f"{acc} = {' + '.join([head, *terms])}", reads))
+                terms, reads = [], []
+        return pairs or [(f"{acc} = 0.0", ())]
 
-    def _factor(self, atom, names: dict) -> str:
-        if not isinstance(atom, LogAtom):
+    def _factor(self, atom, ex: int, names: dict, powers: dict,
+                reads: list) -> str:
+        # exponents in hex: decimal literals are capped at 4300 digits
+        if isinstance(atom, LogAtom):
+            g = self.logs.get(atom)
+            if g is None:
+                g = self.logs[atom] = f"_g{len(self.logs)}"
+                self.ns[g] = _compile(atom.arg, self.atoms)
+            args = ", ".join(names[a] for a in self.atoms)
+            return f"_log({g}({args}))" + (f" ** {ex:#x}" if ex > 1 else "")
+        if ex == 1:
             return names[atom]
-        g = self.logs.get(atom)
-        if g is None:
-            g = self.logs[atom] = f"_g{len(self.logs)}"
-            self.ns[g] = _compile(atom.arg, self.atoms)
-        args = ", ".join(names[a] for a in self.atoms)
-        return f"_log({g}({args}))"
+        w = powers.get((atom, ex))
+        if w is None:
+            w = powers[atom, ex] = f"w{next(self.fresh)}"
+            self.unbound[w] = f"{names[atom]} ** {ex:#x}"
+        reads.append(w)
+        return w
 
     def define(self, params: str, body: list, ret: str):
         """The function ``f(params)`` that runs body, turning an
@@ -153,12 +208,19 @@ class _Source:
         return self.ns.pop("f")
 
 
-def _compile(e: Expr, atoms):
-    """Evaluator f(x0, x1, ...) of e, where x{i} is the value of atoms[i]."""
+def _point(e: Expr, atoms):
+    """(code, params, body): the _Source over atoms, the names x0, x1, ...
+    of their values, and the lines that set v to the value of e there."""
     code = _Source(atoms)
     names = {a: f"x{i}" for i, a in enumerate(code.atoms)}
-    body = code.quotient(e, names, "v")
-    return code.define(", ".join(names.values()), body, "v")
+    return code, list(names.values()), code.bind(
+        code.quotient(e, names, {}, "v"))
+
+
+def _compile(e: Expr, atoms):
+    """Evaluator f(x0, x1, ...) of e, where x{i} is the value of atoms[i]."""
+    code, params, body = _point(e, atoms)
+    return code.define(", ".join(params), body, "v")
 
 
 def _check_atoms(e: Expr, atoms) -> None:
@@ -204,14 +266,17 @@ def derive_ode(L: Expr) -> ODESystem:
     return ODESystem(order=iso.order, rhs=rhs, singular_set=iso.coefficient)
 
 
+@lru_cache(maxsize=8)
 def _rk4_loop(sys: ODESystem):
     """Generated run(traj, steps, t0, h, y0, ..., y{m-1}) that appends
-    each step's (t, state) to traj.
+    each step's (t, state) to traj; cached per system, and safe to share
+    between threads, since it keeps its state in locals.
 
     Stage k of step i evaluates the guard, then the rhs rk, at the point
-    (tk, pk0, ..., pk{m-1}); the slope there is (pk1, ..., pk{m-1}, rk),
-    since the companion system shifts the state by one.  Every float comes
-    from the operations of the textbook update, in its order: stage points
+    (tk, pk0, ..., pk{m-1}), binding the powers of that point in one table
+    that the two share; the slope there is (pk1, ..., pk{m-1}, rk), since
+    the companion system shifts the state by one.  Every float comes from
+    the operations of the textbook update, in its order: stage points
     y + h2 * k and y + h * k, then y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3
     + k4), at t = t0 + i * h."""
     m = sys.order
@@ -229,15 +294,14 @@ def _rk4_loop(sys: ODESystem):
             p = [f"p{k}{j}" for j in range(m)]
             body += [f"    {p[j]} = y{j} + {step} * {slopes[-1][j]}"
                      for j in range(m)]
-        names = dict(zip(atoms, [tk, *p]))
+        names, powers = dict(zip(atoms, [tk, *p])), {}
         # the rhs is generated first, so that its missing atom or
         # oversized coefficient is the one reported
-        rhs = code.quotient(sys.rhs, names, f"r{k}")
-        guard = code.quotient(sys.singular_set, names, "g")
-        body += [f"    {line}" for line in guard]
-        body += [f"    if abs(g) < {SINGULAR_GUARD!r}:",
-                 f"        _guard_abort(i, {tk}, g)"]
-        body += [f"    {line}" for line in rhs]
+        rhs = code.quotient(sys.rhs, names, powers, f"r{k}")
+        guard = code.quotient(sys.singular_set, names, powers, "g")
+        body += [f"    {line}" for line in code.bind([
+            *guard, (f"if abs(g) < {SINGULAR_GUARD!r}:", ()),
+            (f"    _guard_abort(i, {tk}, g)", ()), *rhs])]
         slopes.append(p[1:] + [f"r{k}"])
     k1, k2, k3, k4 = slopes
     # in place, in increasing j: k1[j] is y{j + 1}, not yet updated
@@ -296,9 +360,13 @@ def monitor(traj, e: Expr) -> DriftReport:
     Raises NumericOverflow where e is not finite along the trajectory."""
     if not traj:
         raise ValueError("trajectory is empty")
-    m = len(traj[0][1])
-    f = _compile(e, _state_atoms(m))
-    samples = tuple((t, f(t, *y)) for t, y in traj)
+    code, params, body = _point(e, _state_atoms(len(traj[0][1])))
+    state = "".join(f"{x}, " for x in params[1:])
+    run = code.define("traj", [
+        "samples = []", "append = samples.append",
+        f"for x0, ({state}) in traj:", *(f"    {line}" for line in body),
+        "    append((x0, v))"], "samples")
+    samples = tuple(run(traj))
     bad = next(((t, v) for t, v in samples if not math.isfinite(v)), None)
     if bad is not None:
         raise NumericOverflow(

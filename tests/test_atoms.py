@@ -67,14 +67,15 @@ def test_repr_is_unchanged():
 
 
 def test_constructors_validate_before_the_lookup():
-    keep = Jet(1)  # a live atom that 1.0 would find by equal hash
-    with pytest.raises(ValueError):
-        Jet(1.0)
-    with pytest.raises(ValueError):
-        Jet(-1)
+    # live atoms that 1.0, True and False would find by equal hash; a bool
+    # order would also print as True in repr and in json-ast
+    keep = Jet(1), Jet(0)
+    for order in (1.0, True, False, -1):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Jet(order)
     with pytest.raises(ValueError):
         Param("1a")
-    assert keep is Jet(1)
+    assert keep[0] is Jet(1) and keep[1] is Jet(0)
 
 
 def test_interning_keeps_no_atom_alive():

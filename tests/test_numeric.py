@@ -67,6 +67,26 @@ def test_float_overflow_is_a_typed_error():
     assert len(info.value.trajectory) >= 2
 
 
+def test_a_power_does_not_fail_ahead_of_an_earlier_failure():
+    # q^400 and q''^3 overflow here, but each point fails where a
+    # term-by-term walk fails first: at a zero denominator, which is tested
+    # before its numerator, or at the nonpositive log of an earlier term
+    with pytest.raises(NumericSingularity,
+                       match="denominator evaluated to zero") as info:
+        eval_expr(Q0 ** 400 / Q1, {Jet(0): 1e10, Jet(1): 0.0})
+    assert type(info.value) is NumericSingularity
+    # the guard of L2() is 1/q'^2, and its rhs is (... - 3 q''^3)/q'^2
+    with pytest.raises(NumericSingularity,
+                       match="denominator evaluated to zero") as info:
+        integrate_rk4(derive_ode(l2()), (0.0, 0.0, 1e200, 0.0), 0.0, 1.0, 1e-3)
+    assert type(info.value) is NumericSingularity
+    # log(q')^401 is the first term of the sum, being of higher degree
+    with pytest.raises(NumericSingularity,
+                       match="log argument is not positive") as info:
+        eval_expr(Expr.log(Q1) ** 401 + Q0 ** 400, {Jet(0): 1e10, Jet(1): -1.0})
+    assert type(info.value) is NumericSingularity
+
+
 def test_derive_ode_oscillator():
     L = Q1 ** 2 / 2 - Q0 ** 2 / 2
     system = derive_ode(L)
@@ -207,7 +227,7 @@ def test_trajectories_and_drift_match_the_recorded_floats():
 
 
 def test_evaluator_size_and_depth():
-    # 4060 terms: one generated statement each, so no compiler recursion
+    # 4060 terms: one sum cut into statements, so no compiler recursion
     e = (Q0 + Q1 + T + 1) ** 27
     assert len(e.num.terms) >= 4000
     start = time.perf_counter()
@@ -246,5 +266,8 @@ def test_order_zero_system_has_empty_states():
     # the Euler-Lagrange expression of q^2 is 2q: no derivative to follow
     system = derive_ode(Q0 ** 2)
     assert system.order == 0
-    assert integrate_rk4(system, (), 0.0, 0.2, 0.1) == [
-        (0.0, ()), (0.1, ()), (0.2, ())]
+    traj = integrate_rk4(system, (), 0.0, 0.2, 0.1)
+    assert traj == [(0.0, ()), (0.1, ()), (0.2, ())]
+    rep = monitor(traj, Expr.const(3))
+    assert rep.samples == ((0.0, 3.0), (0.1, 3.0), (0.2, 3.0))
+    assert rep.max_abs_drift == rep.max_rel_drift == 0.0

@@ -1,10 +1,11 @@
 """Shared tables under threads: equal keys give one object.
 
 Atom and layout equality is object identity, so a second object for an
-equal key would give wrong results silently.  Each test below releases
-threads at once through a barrier onto keys no one has asked for, with the
-interpreter switching threads as often as it can, and asserts one object
-per key; the last runs the paper's corpus in threads in a fresh process.
+equal key would give wrong results silently.  Each table test below
+releases threads at once through a barrier onto keys no one has asked for,
+with the interpreter switching threads as often as it can, and asserts one
+object per key.  The RK4 test shares one cached generated loop between
+threads; the last runs the paper's corpus in threads in a fresh process.
 """
 
 import itertools
@@ -13,8 +14,10 @@ import sys
 import threading
 from contextlib import contextmanager
 
-from jetvar import Expr, Jet, LogAtom, Param
+from jetvar import (
+    Expr, Jet, LogAtom, Param, derive_ode, integrate_rk4, jacobi, monitor, sigma)
 from jetvar.hierarchy import _SCHIPPERS, schippers
+from jetvar.numeric import _rk4_loop
 from jetvar.poly import _layout
 
 from conftest import child_env
@@ -105,6 +108,21 @@ def test_schippers_table_grows_in_order_under_threads():
                 assert _SCHIPPERS == ref
     finally:
         _SCHIPPERS[:] = saved
+
+
+def test_rk4_and_monitor_give_the_serial_floats_under_threads():
+    system, J = derive_ode(sigma(5)), jacobi(sigma(5))
+
+    def run(i):
+        traj = integrate_rk4(system, (0.0, 1.0, 0.2, -0.1, 0.05, 0.0),
+                             0.0, 0.05, 1e-4)
+        return repr((traj, monitor(traj, J)))
+
+    serial = run(0)
+    with _fast_switching():
+        for _ in range(3):
+            _rk4_loop.cache_clear()  # so that the threads race to make it
+            assert _at_once(run) == [serial] * THREADS
 
 
 # Each of n threads builds the corpus and computes its EL and Jacobi, each
